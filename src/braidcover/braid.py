@@ -213,19 +213,6 @@ def twist_search(letters, cap=4096):
     return states
 
 
-def extract_twists(letters):
-    """Most-extracted residual: the reachable state with the most twists
-    pulled out (ties broken by search order).
-
-    Returns (letters, dd).
-    """
-    best = (reduce_letters(letters), 0)
-    for cur, dd, _ in twist_search(letters):
-        if abs(dd) > abs(best[1]):
-            best = (cur, dd)
-    return best
-
-
 def _runs(letters):
     """Run-length encoding [(gen, signed length), ...] of a letter list."""
     runs = []
@@ -290,11 +277,6 @@ def classify_baldwin(w):
     if not matches:
         return NOT_IN_FAMILY
     return min(matches, key=lambda c: (c.kind, c.d, c.a, c.m))
-
-
-def is_alternating_class(c):
-    """Family (1) with d = 0 closes up to an alternating diagram."""
-    return c.kind == 1 and c.d == 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .braid import (BraidError, NormalizationError, parse_braid, format_braid,
                     normalize_type1_d1, normalize_type1_dm1, replay_moves,
                     words_cyclically_equal)
 from .diagram import (DecoratedCycleGraph, DiagramError, closure_white_graph,
-                      goeritz_matrix, to_decorated)
+                      goeritz_matrix, is_alternating_closure, to_decorated)
 from .presentation import (AbelianInvariants, greene_presentation,
                            cycle_presentation, abelianize, tietze_simplify)
 from .ordercheck import (Exhausted, HypothesisNotMet, SoundnessError, Verdict,
@@ -41,8 +41,7 @@ class PipelineFailure(Exception):
         self.code = code
 
 
-def run_pipeline(text, max_cosets=10 ** 6, recheck=False, canonical=False,
-                 cone_depth=None):
+def run_pipeline(text, max_cosets=10 ** 6, canonical=False, cone_depth=None):
     """Classify, normalize, present and certify one braid word.
 
     Returns (report dict, exit code).
@@ -67,7 +66,7 @@ def run_pipeline(text, max_cosets=10 ** 6, recheck=False, canonical=False,
             code = EXIT_INCONCLUSIVE
         elif cls.kind in (2, 3):
             code = _finite_route(report, w, max_cosets, cone_depth)
-        elif cls.kind == 1 and cls.d == 0:
+        elif is_alternating_closure(cls):
             _diagram_block(report, w)
             report["verdict"] = Verdict(
                 VERDICT_ALTERNATING,
@@ -76,7 +75,7 @@ def run_pipeline(text, max_cosets=10 ** 6, recheck=False, canonical=False,
                 "alternating links and is not machine-checked here",
                 machine_checked=False).to_json()
         else:
-            code = _cycle_route(report, w, cls, recheck)
+            code = _cycle_route(report, w, cls)
     except SoundnessError as e:
         report["soundness_error"] = str(e)
         code = EXIT_SOUNDNESS
@@ -132,7 +131,7 @@ def _finite_route(report, w, max_cosets, cone_depth=None):
     return EXIT_OK
 
 
-def _cycle_route(report, w, cls, recheck):
+def _cycle_route(report, w, cls):
     _diagram_block(report, w)
     normalize = normalize_type1_d1 if cls.d == 1 else normalize_type1_dm1
     try:
@@ -164,11 +163,10 @@ def _cycle_route(report, w, cls, recheck):
                                     machine_checked=False).to_json()
         return EXIT_INCONCLUSIVE
     report["certificate"] = cert.to_json()
-    if recheck:
-        ok, problems = verify_certificate(cert.to_json(), pres)
-        report["recheck"] = {"ok": ok, "problems": problems}
-        if not ok:
-            raise SoundnessError("certificate recheck failed: %s" % problems)
+    ok, problems = verify_certificate(report["certificate"], pres)
+    report["recheck"] = {"ok": ok, "problems": problems}
+    if not ok:
+        raise SoundnessError("certificate recheck failed: %s" % problems)
     report["verdict"] = Verdict(
         VERDICT_CERTIFIED,
         "sign-deduction certificate for the cycle form (case %d)" % cert.case).to_json()
@@ -250,8 +248,7 @@ def _print_report(report, as_json):
 def cmd_pipeline(args):
     try:
         report, code = run_pipeline(args.braid, max_cosets=args.max_cosets,
-                                    recheck=args.recheck, canonical=args.canonical,
-                                    cone_depth=args.depth)
+                                    canonical=args.canonical, cone_depth=args.depth)
     except PipelineFailure as e:
         print("error: %s" % e, file=sys.stderr)
         return e.code
@@ -277,7 +274,7 @@ def _parse_grid_line(line):
     return ("braid", line)
 
 
-def _batch_one(line, max_cosets, recheck):
+def _batch_one(line, max_cosets):
     """One grid line -> (result entry, counter key).  Exception free."""
     try:
         item = _parse_grid_line(line)
@@ -286,7 +283,7 @@ def _batch_one(line, max_cosets, recheck):
     if item[0] == "braid":
         try:
             report, code = run_pipeline(item[1], max_cosets=max_cosets,
-                                        recheck=recheck, canonical=True)
+                                        canonical=True)
         except PipelineFailure as e:
             return {"input": line, "error": str(e)}, "input_error"
         if code == EXIT_OK:
@@ -314,7 +311,7 @@ def _batch_one(line, max_cosets, recheck):
         return entry, "soundness_failure"
 
 
-def run_batch(lines, max_cosets=10 ** 6, recheck=True, workers=1):
+def run_batch(lines, max_cosets=10 ** 6, workers=1):
     """Run the grid; independent lines may fan out across processes, with
     results merged back in input order."""
     tasks = []
@@ -328,11 +325,10 @@ def run_batch(lines, max_cosets=10 ** 6, recheck=True, workers=1):
         from concurrent.futures import ProcessPoolExecutor
         from functools import partial
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                partial(_batch_one, max_cosets=max_cosets, recheck=recheck),
-                tasks))
+            outcomes = list(pool.map(partial(_batch_one, max_cosets=max_cosets),
+                                     tasks))
     else:
-        outcomes = [_batch_one(t, max_cosets, recheck) for t in tasks]
+        outcomes = [_batch_one(t, max_cosets) for t in tasks]
     results = []
     for entry, key in outcomes:
         results.append(entry)
@@ -348,7 +344,7 @@ def cmd_batch(args):
         print("cannot read grid file: %s" % e, file=sys.stderr)
         return EXIT_INPUT
     results, counts = run_batch(lines, max_cosets=args.max_cosets,
-                                recheck=args.recheck, workers=args.workers)
+                                workers=args.workers)
     if args.json:
         print(_canon({"counts": counts, "results": results}))
     else:
@@ -372,8 +368,6 @@ def main(argv=None):
     p.add_argument("braid")
     p.add_argument("--json", action="store_true", help="canonical JSON output")
     p.add_argument("--dot", metavar="FILE", help="write the white graph as DOT")
-    p.add_argument("--recheck", action="store_true",
-                   help="independently re-verify the emitted certificate")
     p.add_argument("--max-cosets", type=int, default=10 ** 6)
     p.add_argument("--depth", type=int, default=None,
                    help="also run the positive-cone search to this depth on "
@@ -385,7 +379,6 @@ def main(argv=None):
     p = sub.add_parser("batch", help="run a grid file of braids or (m;a;b) tuples")
     p.add_argument("grid")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--recheck", action="store_true", default=True)
     p.add_argument("--max-cosets", type=int, default=10 ** 6)
     p.add_argument("--workers", type=int, default=1,
                    help="fan independent runs out over processes")

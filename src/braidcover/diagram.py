@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import reduce_letters
+from .rewrite import prefix_sums
 
 
 class DiagramError(Exception):
@@ -67,20 +68,6 @@ class CheckerboardGraph:
             raise DiagramError("rotation system does not cover all edge ends")
         if self.root not in self.vertices:
             raise DiagramError("missing root")
-
-    def degree(self, v):
-        return len(self.rotations[v])
-
-    def neighbours(self, v):
-        out = []
-        for i, end in self.rotations[v]:
-            u, w, _ = self.edges[i]
-            out.append(w if end == 0 else u)
-        return out
-
-    def edge_sign_sum(self, u, v):
-        return sum(s for (a, b, s) in self.edges
-                   if (a, b) == (u, v) or (b, a) == (u, v))
 
     def components(self):
         parent = {v: v for v in self.vertices}
@@ -228,10 +215,7 @@ class DecoratedCycleGraph:
 
     @property
     def c(self):
-        out = [0]
-        for bk in self.b:
-            out.append(out[-1] + bk)
-        return tuple(out)
+        return tuple(prefix_sums(self.b))
 
     @property
     def cn(self):

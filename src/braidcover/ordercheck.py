@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .rewrite import (FreeWord, format_word, parse_word, x_sym,
-                      verify_lemma_x, verify_lemma_left, verify_lemma_right,
-                      verify_product_relation, QR)
+from .rewrite import (FreeWord, format_word, parse_word, x_sym, right_words,
+                      verify_lemma_x, verify_lemma_right, verify_product_relation,
+                      QR)
 from .diagram import DecoratedCycleGraph, cycle_graph_from_params
 from .presentation import cycle_presentation, relator_sets_equal
 
@@ -344,9 +344,10 @@ def _wlog_record(d):
 def certify_cycle_non_lo(d):
     """Build the non-left-orderability certificate for a cycle-form graph.
 
-    Requires n >= 1 and the hypothesis (m > 1, or m = 1 with a0, an > 1);
-    every word identity is discharged by the lemma replay machinery and
-    every sign is a product of previously established signs.
+    Requires n >= 1 and the hypothesis (m > 1, or m = 1 with a0, an > 1).
+    The result is unverified: `verify_certificate` is the one check that
+    discharges its word identities and sign inferences, and a certificate
+    is trusted only after it has passed that check.
     """
     if d.n < 1:
         raise HypothesisNotMet("degenerate cycle (n = 0)")
@@ -360,25 +361,19 @@ def certify_cycle_non_lo(d):
     y0 = FreeWord.gen("y0")
     ycn = FreeWord.gen("y%d" % cn)
     x1 = FreeWord.gen(x_sym(1, m, cn))
-    xm1 = FreeWord.gen(x_sym(m - 1, m, cn))
     q_left = x1 * y0 ** (a[0] - 1)
-    r_right = ycn ** (a[-1] - 1) * xm1
-
-    # the left-lemma product forces x1 y0^(a0-1) to be positive
-    _, left_words = verify_lemma_left(d)
-    verify_product_relation(d)
-    _, right_words = verify_lemma_right(d)
+    r_right = ycn ** (a[-1] - 1) * FreeWord.gen(x_sym(m - 1, m, cn))
 
     steps = [
         SignStep(y0, -1, "wlog"),
         SignStep(ycn, +1, "wlog"),
         SignStep(y0.inverse(), +1, "sign_inverse", (0,)),
+        # the left-lemma product forces x1 y0^(a0-1) to be positive
         SignStep(q_left, +1, "product_forces_positive", (0,),
                  {"via": "lemma_left", "strict": "y0"}),
     ]
     if m > 1:
         case = 1
-        verify_lemma_x(m, cn)
         factors = [format_word(q_left, fold=False)] + \
                   [format_word(y0.inverse(), fold=False)] * (a[0] - 1)
         steps.append(SignStep(x1, +1, "product_of_positives", (3, 2),
@@ -390,7 +385,6 @@ def certify_cycle_non_lo(d):
         factors.append(format_word(x1, fold=False))
         steps.append(SignStep(r_right, +1, "product_of_positives", (1, 4, 2),
                               {"factors": factors, "via": "lemma_x"}))
-        rstep = 5
     else:
         case = 2
         # x1 is an alias of y_cn here, which is positive by assumption;
@@ -402,29 +396,21 @@ def certify_cycle_non_lo(d):
                   [format_word(x1 * y0, fold=False)]
         steps.append(SignStep(r_right, +1, "product_of_positives", (1, 4),
                               {"factors": factors}))
-        rstep = 5
     # lemma right writes y0 as a positive word in y_cn and r_right
-    w0 = right_words[0]
-    factors = []
-    for sym, s in w0.letters:
-        if s != 1:
-            raise SoundnessError("right word for y0 is not positive")
-        factors.append(format_word(ycn if sym != QR else r_right, fold=False))
-    steps.append(SignStep(y0, +1, "product_of_positives", (1, rstep),
+    w0 = right_words(a, b)[0][0]
+    ycn_text, r_text = format_word(ycn, fold=False), format_word(r_right, fold=False)
+    factors = [r_text if sym == QR else ycn_text for sym, _ in w0.letters]
+    steps.append(SignStep(y0, +1, "product_of_positives", (1, 5),
                           {"factors": factors, "via": "lemma_right",
                            "marker_word": format_word(w0, fold=False)}))
-    cert = NonLOCertificate(m, a, b, case, wlog, steps, (0, len(steps) - 1))
-    ok, problems = verify_certificate(cert.to_json(), cycle_presentation(d))
-    if not ok:
-        raise SoundnessError("freshly built certificate failed recheck: %s" % problems)
-    return cert
+    return NonLOCertificate(m, a, b, case, wlog, steps, (0, len(steps) - 1))
 
 
 def verify_certificate(cert_json, pres):
     """Recheck a certificate against a presentation, from the JSON alone.
 
-    Re-derives every lemma fact from the parameters, re-checks every sign
-    inference, and confirms the contradiction.  Returns (ok, problems).
+    Re-derives every lemma fact from the parameters once, re-checks every
+    sign inference, and confirms the contradiction.  Returns (ok, problems).
     """
     problems = []
     try:
@@ -436,16 +422,13 @@ def verify_certificate(cert_json, pres):
         problems.append("presentation does not match the certificate parameters")
     if d.n < 1 or not d.hypothesis_ok():
         problems.append("hypothesis fails for the stated parameters")
-    m, a, cn = d.m, d.a, d.cn
-    y0 = FreeWord.gen("y0")
-    ycn = FreeWord.gen("y%d" % cn)
-    x1 = FreeWord.gen(x_sym(1, m, cn))
-    xm1 = FreeWord.gen(x_sym(m - 1, m, cn))
     try:
-        _, left_words = verify_lemma_left(d)
-        verify_product_relation(d)
-        _, right_words = verify_lemma_right(d)
-        lemx = verify_lemma_x(m, cn) if m > 1 else None
+        lemmas = {
+            "product": verify_product_relation(d).results,
+            "right_words": verify_lemma_right(d)[1],
+            "lemma_x": verify_lemma_x(d.m, d.cn) if d.m > 1 else None,
+            "wlog": _wlog_record(d),
+        }
     except Exception as e:
         return False, ["lemma replay failed: %s" % e]
 
@@ -457,18 +440,12 @@ def verify_certificate(cert_json, pres):
     except Exception as e:
         return False, ["malformed steps: %s" % e]
 
-    def positive_premise(word, upto):
-        return any(steps[i][0] == word and steps[i][1] == 1
-                   for i in range(upto))
-
-    for idx, (element, sign, rule, premises, payload) in enumerate(steps):
-        if any(p >= idx or p < 0 for p in premises):
+    for idx, step in enumerate(steps):
+        if any(p >= idx or p < 0 for p in step[3]):
             problems.append("step %d cites an out-of-range step" % idx)
             continue
         try:
-            _check_step(problems, d, cert_json, steps, idx, element, sign,
-                        rule, premises, payload, positive_premise,
-                        left_words, right_words, lemx)
+            _check_step(problems, d, cert_json, steps, idx, lemmas)
         except Exception as e:
             problems.append("step %d: malformed (%s)" % (idx, e))
 
@@ -481,17 +458,15 @@ def verify_certificate(cert_json, pres):
     return not problems, problems
 
 
-def _check_step(problems, d, cert_json, steps, idx, element, sign, rule,
-                premises, payload, positive_premise, left_words, right_words,
-                lemx):
+def _check_step(problems, d, cert_json, steps, idx, lemmas):
+    element, sign, rule, premises, payload = steps[idx]
     m, a, cn = d.m, d.a, d.cn
     y0 = FreeWord.gen("y0")
     ycn = FreeWord.gen("y%d" % cn)
     x1 = FreeWord.gen(x_sym(1, m, cn))
     xm1 = FreeWord.gen(x_sym(m - 1, m, cn))
     if rule == "wlog":
-        predicate = _wlog_record(d)
-        if not (predicate["ok"] and cert_json["hypothesis"].get("ok")):
+        if not (lemmas["wlog"]["ok"] and cert_json["hypothesis"].get("ok")):
             problems.append("wlog predicate not established")
         if not ((element == y0 and sign == -1) or (element == ycn and sign == 1)):
             problems.append("step %d: wlog only fixes y0 < 1 < y_cn" % idx)
@@ -506,42 +481,42 @@ def _check_step(problems, d, cert_json, steps, idx, element, sign, rule,
             problems.append("step %d: element is not x1 y0^(a0-1)" % idx)
         if not any(s[0] == y0 and s[1] == -1 for s in steps[:idx]):
             problems.append("step %d: needs y0 negative" % idx)
-        prod = FreeWord()
-        for k, wk in enumerate(left_words):
+        for k, wk in enumerate(lemmas["product"]["words"]):
             if not wk.is_positive():
                 problems.append("left word %d not positive" % k)
-            prod = prod * wk ** a[k]
-        if prod.count("y0") == 0:
+        if lemmas["product"]["product"].count("y0") == 0:
             problems.append("step %d: no strict factor in the product" % idx)
         if sign != 1:
             problems.append("step %d: wrong sign" % idx)
     elif rule == "product_of_positives":
-        factors = [parse_word(f) for f in payload.get("factors", [])]
+        texts = payload.get("factors", [])
+        parsed = {t: parse_word(t) for t in set(texts)}
+        factors = [parsed[t] for t in texts]
         if not factors:
             problems.append("step %d: empty product" % idx)
+        positive = {s[0] for s in steps[:idx] if s[1] == 1}
         for f in factors:
-            if not positive_premise(f, idx):
+            if f not in positive:
                 problems.append("step %d: factor %s not established positive"
                                 % (idx, format_word(f, fold=False)))
-        prod = FreeWord()
-        for f in factors:
-            prod = prod * f
         via = payload.get("via")
-        if via is None:
-            if prod != element:
-                problems.append("step %d: factors do not multiply to the element" % idx)
-        elif via == "lemma_x":
-            want = ycn ** (a[-1] - 1) * lemx.results[x_sym(m - 1, m, cn)]
-            if prod != want or element != ycn ** (a[-1] - 1) * xm1:
-                problems.append("step %d: lemma-x discharge failed" % idx)
-        elif via == "lemma_right":
-            w0 = right_words[0]
+        if via == "lemma_right":
+            w0 = lemmas["right_words"][0]
             r_right = ycn ** (a[-1] - 1) * xm1
             expected = [ycn if sym != QR else r_right for sym, _ in w0.letters]
             if element != y0 or not w0.is_positive() or factors != expected:
                 problems.append("step %d: lemma-right discharge failed" % idx)
         else:
-            problems.append("step %d: unknown discharge %r" % (idx, via))
+            prod = FreeWord([x for f in factors for x in f.letters])
+            if via is None:
+                if prod != element:
+                    problems.append("step %d: factors do not multiply to the element" % idx)
+            elif via == "lemma_x":
+                want = ycn ** (a[-1] - 1) * lemmas["lemma_x"].results[x_sym(m - 1, m, cn)]
+                if prod != want or element != ycn ** (a[-1] - 1) * xm1:
+                    problems.append("step %d: lemma-x discharge failed" % idx)
+            else:
+                problems.append("step %d: unknown discharge %r" % (idx, via))
         if sign != 1:
             problems.append("step %d: wrong sign" % idx)
     elif rule == "reduce_negative_power":
@@ -559,5 +534,3 @@ def _check_step(problems, d, cert_json, steps, idx, element, sign, rule,
             problems.append("step %d: wrong conclusion" % idx)
     else:
         problems.append("step %d: unknown rule %r" % (idx, rule))
-
-

@@ -83,7 +83,7 @@ def cycle_presentation(d):
     if d.n < 1:
         raise DegenerateShape("n = 0 cycle forms have no y segments")
     rel = cycle_relators(d.m, list(d.a), list(d.b))
-    gens = tuple(cycle_gens(d.m, list(d.a), list(d.b)))
+    gens = tuple(cycle_gens(d.m, d.b))
     order = ["x%d" % i for i in range(1, d.m)] + \
             ["y%d" % i for i in range(d.cn + 1)] + ["z", "z_rel"]
     return GroupPresentation(gens, tuple(rel[k] for k in order))

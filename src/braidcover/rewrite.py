@@ -138,9 +138,6 @@ class FreeWord:
         return format_word(self)
 
 
-IDENTITY = FreeWord()
-
-
 def format_word(w, fold=True):
     """Print a word, folding repeated blocks: (x1 x0^-1)^3 x1."""
     if not w.letters:
@@ -185,17 +182,6 @@ def parse_word(text):
     return FreeWord.from_pairs(pairs)
 
 
-@dataclass
-class SubstitutionRule:
-    """Eliminates `target` by `replacement` (which must not mention it)."""
-    target: str
-    replacement: FreeWord
-
-    def __post_init__(self):
-        if self.target in self.replacement.symbols():
-            raise RewriteError("replacement mentions the eliminated generator")
-
-
 def solve_relation(r, g):
     """Solve r = 1 for g, which must occur exactly once in r.
 
@@ -225,7 +211,15 @@ def solve_relation(r, g):
 # arc, z for the root.  x0 and xm are aliases of y0 and y{cn}.
 # ---------------------------------------------------------------------------
 
-def cycle_gens(m, a, b):
+def prefix_sums(b):
+    """c_0 = 0 and c_k = b_1 + ... + b_k: the indices of the marked y's."""
+    c = [0]
+    for bk in b:
+        c.append(c[-1] + bk)
+    return c
+
+
+def cycle_gens(m, b):
     cn = sum(b)
     return ["x%d" % i for i in range(1, m)] + ["y%d" % i for i in range(cn + 1)] + ["z"]
 
@@ -239,6 +233,38 @@ def x_sym(i, m, cn):
     return "x%d" % i
 
 
+def _path_relator(sym, i):
+    """Relator of x_i on the negative path; sym(j) names x_j."""
+    w = FreeWord.gen
+    xi = w(sym(i))
+    return (w(sym(i + 1)).inverse() * xi).inverse() \
+        * (w(sym(i - 1)).inverse() * xi).inverse()
+
+
+def _unmarked_relator(i):
+    w = FreeWord.gen
+    yi = w("y%d" % i)
+    return (w("y%d" % (i + 1)).inverse() * yi) * (w("y%d" % (i - 1)).inverse() * yi)
+
+
+def _marked_relator(a_k, i):
+    w = FreeWord.gen
+    yc = w("y%d" % i)
+    return (w("y%d" % (i - 1)).inverse() * yc) * yc ** a_k \
+        * (w("y%d" % (i + 1)).inverse() * yc)
+
+
+def _end_relator(i, a_k, x):
+    """Relator of the arc end y_i (y0 or y_cn, with a_k root edges); x names
+    the path-end vertex across its negative edge."""
+    w = FreeWord.gen
+    yi = w("y%d" % i)
+    across = (w(x).inverse() * yi).inverse()
+    if i == 0:
+        return across * yi ** a_k * (w("y1").inverse() * yi)
+    return (w("y%d" % (i - 1)).inverse() * yi) * yi ** a_k * across
+
+
 def cycle_relators(m, a, b):
     """The relator of every vertex of the cycle graph, keyed by generator.
 
@@ -249,37 +275,24 @@ def cycle_relators(m, a, b):
     if n + 1 != len(a):
         raise ValueError("need len(a) == len(b) + 1")
     cn = sum(b)
-    c = [0]
-    for bk in b:
-        c.append(c[-1] + bk)
+    c = prefix_sums(b)
+    sym = lambda i: x_sym(i, m, cn)
     w = FreeWord.gen
-    rel = {}
-    for i in range(1, m):
-        xi = w(x_sym(i, m, cn))
-        rel["x%d" % i] = (w(x_sym(i + 1, m, cn)).inverse() * xi).inverse() \
-            * (w(x_sym(i - 1, m, cn)).inverse() * xi).inverse()
-    y0 = w("y0")
+    rel = {"x%d" % i: _path_relator(sym, i) for i in range(1, m)}
     if n > 0:
-        rel["y0"] = (w(x_sym(1, m, cn)).inverse() * y0).inverse() * y0 ** a[0] \
-            * (w("y1").inverse() * y0)
+        rel["y0"] = _end_relator(0, a[0], sym(1))
         for k in range(1, n):
-            yc = w("y%d" % c[k])
-            rel["y%d" % c[k]] = (w("y%d" % (c[k] - 1)).inverse() * yc) * yc ** a[k] \
-                * (w("y%d" % (c[k] + 1)).inverse() * yc)
-        ycn = w("y%d" % cn)
-        rel["y%d" % cn] = (w("y%d" % (cn - 1)).inverse() * ycn) * ycn ** a[n] \
-            * (w(x_sym(m - 1, m, cn)).inverse() * ycn).inverse()
+            rel["y%d" % c[k]] = _marked_relator(a[k], c[k])
+        rel["y%d" % cn] = _end_relator(cn, a[n], sym(m - 1))
         marked = set(c)
         for i in range(1, cn):
-            if i in marked:
-                continue
-            yi = w("y%d" % i)
-            rel["y%d" % i] = (w("y%d" % (i + 1)).inverse() * yi) \
-                * (w("y%d" % (i - 1)).inverse() * yi)
+            if i not in marked:
+                rel["y%d" % i] = _unmarked_relator(i)
     else:
         # single marked vertex, all-negative cycle through the x path
-        rel["y0"] = (w(x_sym(1, m, cn)).inverse() * y0).inverse() * y0 ** a[0] \
-            * (w(x_sym(m - 1, m, cn)).inverse() * y0).inverse()
+        y0 = w("y0")
+        rel["y0"] = (w(sym(1)).inverse() * y0).inverse() * y0 ** a[0] \
+            * (w(sym(m - 1)).inverse() * y0).inverse()
     rel["z"] = w("z")
     rz = FreeWord()
     for k in range(n, -1, -1):
@@ -368,8 +381,7 @@ def verify_lemma_x(m, cn=None):
         raise RewriteError("closed form fails at the base cases")
     for i in range(1, m):
         # relator at x_i, solved for x_{i+1}
-        xi = w(sym(i))
-        rel = (w(sym(i + 1)).inverse() * xi).inverse() * (w(sym(i - 1)).inverse() * xi).inverse()
+        rel = _path_relator(sym, i)
         expr = solve_relation(rel, sym(i + 1)).substitute(known)
         if expr != closed[i + 1]:
             raise RewriteError("lemma x fails at i=%d" % (i + 1))
@@ -377,12 +389,6 @@ def verify_lemma_x(m, cn=None):
         t.record("solve", sym(i + 1), format_word(rel, fold=False), expr)
     t.results = {sym(i): closed[i] for i in range(m + 1)}
     return t
-
-
-def _unmarked_relator(i):
-    w = FreeWord.gen
-    yi = w("y%d" % i)
-    return (w("y%d" % (i + 1)).inverse() * yi) * (w("y%d" % (i - 1)).inverse() * yi)
 
 
 def verify_lemma_y(a, b):
@@ -401,9 +407,7 @@ def verify_lemma_y(a, b):
     if n < 1:
         raise ValueError("need n >= 1")
     w = FreeWord.gen
-    c = [0]
-    for bk in b:
-        c.append(c[-1] + bk)
+    c = prefix_sums(b)
     t = ProofTranscript("y", {"a": list(a), "b": list(b)})
     for k in range(1, n + 1):
         lo, hi = c[k - 1], c[k]
@@ -455,33 +459,35 @@ def verify_lemma_y(a, b):
 # m = 1 those are aliases of y_cn and y0, and every identity proved in the
 # formal group maps onto the actual presentation under the alias quotient.
 
-def left_x_symbol(m):
-    return "x1"
+LEFT_X = "x1"
 
 
 def right_x_symbol(m):
     return "x%d" % (m - 1) if m >= 2 else "x0"
 
 
-def _relator_y0(a0, m):
-    w = FreeWord.gen
-    y0 = w("y0")
-    return (w(left_x_symbol(m)).inverse() * y0).inverse() * y0 ** a0 \
-        * (w("y1").inverse() * y0)
-
-
-def _relator_ycn(an, cn, m):
-    w = FreeWord.gen
-    ycn = w("y%d" % cn)
-    return (w("y%d" % (cn - 1)).inverse() * ycn) * ycn ** an \
-        * (w(right_x_symbol(m)).inverse() * ycn).inverse()
-
-
-def _marked_relator(a_k, i):
-    w = FreeWord.gen
-    yc = w("y%d" % i)
-    return (w("y%d" % (i - 1)).inverse() * yc) * yc ** a_k \
-        * (w("y%d" % (i + 1)).inverse() * yc)
+def _eliminate(name, m, a, b, first, end_x):
+    """Solve the arc relators in turn from the end y_first to the other end,
+    leaving every y_i as a word in y_first and the formal symbol end_x."""
+    cn = sum(b)
+    idx_of = {ck: k for k, ck in enumerate(prefix_sums(b))}
+    step = 1 if first == 0 else -1
+    t = ProofTranscript(name, {"m": m, "a": list(a), "b": list(b)})
+    known = {}
+    for i in range(first, cn - first, step):
+        if i == first:
+            r = _end_relator(i, a[idx_of[i]], end_x)
+        elif i in idx_of:
+            r = _marked_relator(a[idx_of[i]], i)
+        else:
+            r = _unmarked_relator(i)
+        target = "y%d" % (i + step)
+        expr = solve_relation(r, target).substitute(known)
+        known[target] = expr
+        t.record("solve", target, format_word(r, fold=False), expr)
+    t.results = dict(known)
+    t.results["y%d" % first] = FreeWord.gen("y%d" % first)
+    return t
 
 
 def left_elimination(m, a, b):
@@ -491,50 +497,12 @@ def left_elimination(m, a, b):
     unmarked and interior marked relators.  Transcript steps are recorded on
     the returned ProofTranscript.
     """
-    n = len(b)
-    cn = sum(b)
-    c = [0]
-    for bk in b:
-        c.append(c[-1] + bk)
-    idx_of = {c[k]: k for k in range(n + 1)}
-    t = ProofTranscript("left-elimination", {"m": m, "a": list(a), "b": list(b)})
-    known = {}
-    r0 = _relator_y0(a[0], m)
-    expr = solve_relation(r0, "y1")
-    known["y1"] = expr
-    t.record("solve", "y1", format_word(r0, fold=False), expr)
-    for i in range(1, cn):
-        r = _marked_relator(a[idx_of[i]], i) if i in idx_of else _unmarked_relator(i)
-        expr = solve_relation(r, "y%d" % (i + 1)).substitute(known)
-        known["y%d" % (i + 1)] = expr
-        t.record("solve", "y%d" % (i + 1), format_word(r, fold=False), expr)
-    t.results = dict(known)
-    t.results["y0"] = FreeWord.gen("y0")
-    return t
+    return _eliminate("left-elimination", m, a, b, 0, LEFT_X)
 
 
 def right_elimination(m, a, b):
     """Ground truth from the other end: y_i over y_cn and the formal x_{m-1}."""
-    n = len(b)
-    cn = sum(b)
-    c = [0]
-    for bk in b:
-        c.append(c[-1] + bk)
-    idx_of = {c[k]: k for k in range(n + 1)}
-    t = ProofTranscript("right-elimination", {"m": m, "a": list(a), "b": list(b)})
-    known = {}
-    rn = _relator_ycn(a[-1], cn, m)
-    expr = solve_relation(rn, "y%d" % (cn - 1))
-    known["y%d" % (cn - 1)] = expr
-    t.record("solve", "y%d" % (cn - 1), format_word(rn, fold=False), expr)
-    for i in range(cn - 1, 0, -1):
-        r = _marked_relator(a[idx_of[i]], i) if i in idx_of else _unmarked_relator(i)
-        expr = solve_relation(r, "y%d" % (i - 1)).substitute(known)
-        known["y%d" % (i - 1)] = expr
-        t.record("solve", "y%d" % (i - 1), format_word(r, fold=False), expr)
-    t.results = dict(known)
-    t.results["y%d" % cn] = FreeWord.gen("y%d" % cn)
-    return t
+    return _eliminate("right-elimination", m, a, b, sum(b), right_x_symbol(m))
 
 
 # Marker symbols for the two-element alphabets of the end lemmas.
@@ -542,16 +510,33 @@ QL = "qL"   # stands for x1 y0^(a0-1)
 QR = "qR"   # stands for y_cn^(an-1) x_{m-1}
 
 
-def left_alphabet(m, a, b):
+def left_alphabet(a):
     return {"y0": FreeWord.gen("y0"),
-            QL: FreeWord.gen(left_x_symbol(m)) * FreeWord.gen("y0") ** (a[0] - 1)}
+            QL: FreeWord.gen(LEFT_X) * FreeWord.gen("y0") ** (a[0] - 1)}
 
 
-def right_alphabet(m, a, b):
-    cn = sum(b)
+def right_alphabet(m, a, cn):
     return {"y%d" % cn: FreeWord.gen("y%d" % cn),
             QR: FreeWord.gen("y%d" % cn) ** (a[-1] - 1)
                 * FreeWord.gen(right_x_symbol(m))}
+
+
+def right_words(a, b):
+    """The right lemma's recursion over the alphabet {y_cn, qR}, shared by
+    the certificate builder and its check.
+
+    Returns (words, diffs): words[k] stands for y_{c_k}, and diffs[k] for
+    y_{c_k}^-1 y_{c_k - 1} (k >= 1).
+    """
+    n = len(b)
+    words = [None] * n + [FreeWord.gen("y%d" % sum(b))]
+    diffs = [None] * n + [FreeWord.gen(QR)]
+    for k in range(n - 1, -1, -1):
+        # y_{c_k} = y_{c_{k+1}} (y_{c_{k+1}}^-1 y_{c_{k+1}-1})^{b_{k+1}}
+        words[k] = words[k + 1] * diffs[k + 1] ** b[k]
+        if k > 0:
+            diffs[k] = words[k] ** a[k] * diffs[k + 1]
+    return words, diffs
 
 
 def verify_lemma_left(d):
@@ -559,17 +544,16 @@ def verify_lemma_left(d):
     letter-for-letter against the left elimination.
 
     Returns (transcript, words) where words[k] is the expression for y_{c_k}
-    over the marker alphabet {y0, qL}.
+    over the marker alphabet {y0, qL}; the transcript's results are the
+    left elimination's words for every y_i.
     """
     m, a, b = d.m, list(d.a), list(d.b)
     n = len(b)
     if n < 1:
         raise ValueError("need n >= 1")
-    c = [0]
-    for bk in b:
-        c.append(c[-1] + bk)
+    c = d.c
     elim = left_elimination(m, a, b)
-    alpha = left_alphabet(m, a, b)
+    alpha = left_alphabet(a)
     expand = lambda w: w.substitute(alpha)
     t = ProofTranscript("left", {"m": m, "a": a, "b": b})
     t.record("define", QL, "", alpha[QL])
@@ -600,6 +584,7 @@ def verify_lemma_left(d):
                 raise RewriteError("left difference fails at k=%d" % k)
             t.record("check", "y%d y%d^-1" % (c[k] + 1, c[k]),
                      format_word(S, fold=False), got)
+    t.results = elim.results
     return t, [words[k] for k in range(n + 1)]
 
 
@@ -613,29 +598,21 @@ def verify_lemma_right(d):
     n = len(b)
     if n < 1:
         raise ValueError("need n >= 1")
-    cn = sum(b)
-    c = [0]
-    for bk in b:
-        c.append(c[-1] + bk)
+    cn, c = d.cn, d.c
     elim = right_elimination(m, a, b)
-    alpha = right_alphabet(m, a, b)
+    alpha = right_alphabet(m, a, cn)
     expand = lambda w: w.substitute(alpha)
     t = ProofTranscript("right", {"m": m, "a": a, "b": b})
     t.record("define", QR, "", alpha[QR])
     t.steps.extend(elim.steps)
-    w = FreeWord.gen
+    words, diffs = right_words(a, b)
     ycn = "y%d" % cn
-    words = {n: w(ycn)}
-    # V_k represents y_{c_k}^-1 y_{c_k - 1} over the alphabet
-    V = w(QR)
-    got = expand(V)
+    got = expand(diffs[n])
     want = elim.results[ycn].inverse() * elim.results["y%d" % (cn - 1)]
     if got != want:
         raise RewriteError("base step y_cn^-1 y_{cn-1} fails")
     t.record("check", "%s^-1 y%d" % (ycn, cn - 1), QR, got)
     for k in range(n - 1, -1, -1):
-        # y_{c_k} = y_{c_{k+1}} (y_{c_{k+1}}^-1 y_{c_{k+1}-1})^{b_{k+1}}
-        words[k] = words[k + 1] * V ** b[k]
         got = expand(words[k])
         if got != elim.results["y%d" % c[k]]:
             raise RewriteError("right word fails at k=%d" % k)
@@ -643,47 +620,40 @@ def verify_lemma_right(d):
             raise RewriteError("right word not positive at k=%d" % k)
         t.record("check", "y%d" % c[k], format_word(words[k], fold=False), got)
         if k > 0:
-            V = words[k] ** a[k] * V
-            got = expand(V)
+            got = expand(diffs[k])
             want = elim.results["y%d" % c[k]].inverse() * elim.results["y%d" % (c[k] - 1)]
             if got != want:
                 raise RewriteError("right difference fails at k=%d" % k)
             t.record("check", "y%d^-1 y%d" % (c[k], c[k] - 1),
-                     format_word(V, fold=False), got)
-    return t, [words[k] for k in range(n + 1)]
+                     format_word(diffs[k], fold=False), got)
+    return t, words
 
 
 def verify_product_relation(d):
     """w_0 w_1 ... w_n = 1 where w_k expresses y_{c_k}^{a_k} over {y0, qL}.
 
-    The product, expanded through the left elimination, must coincide with
-    the eliminated image of the inverted root relation
-    y0^a0 y_{c_1}^a1 ... y_{c_n}^an.
+    The product, expanded through the left elimination of its own
+    verify_lemma_left call, must coincide with the eliminated image of the
+    inverted root relation y0^a0 y_{c_1}^a1 ... y_{c_n}^an.  The results
+    hold the product and the left words.
     """
     m, a, b = d.m, list(d.a), list(d.b)
-    n = len(b)
-    if n < 1:
+    if len(b) < 1:
         raise ValueError("degenerate cycle: n = 0")
-    c = [0]
-    for bk in b:
-        c.append(c[-1] + bk)
     t, yw = verify_lemma_left(d)
-    alpha = left_alphabet(m, a, b)
-    elim = left_elimination(m, a, b)
-    product = FreeWord()
-    for k in range(n + 1):
-        product = product * yw[k] ** a[k]
+    alpha = left_alphabet(a)
+    product = FreeWord([x for wk, ak in zip(yw, a) for x in (wk ** ak).letters])
     if not product.is_positive() or product.is_identity():
         raise RewriteError("product word must be a nonempty positive word")
     if product.count("y0") == 0:
         raise RewriteError("product word must mention y0")
     lhs = product.substitute(alpha)
     rel = cycle_relators(m, a, b)
-    rhs = rel["z_rel"].inverse().substitute(elim.results)
+    rhs = rel["z_rel"].inverse().substitute(t.results)
     if lhs != rhs:
         raise RewriteError("product does not match the root relation")
     out = ProofTranscript("product", {"m": m, "a": a, "b": b})
     out.steps = list(t.steps)
     out.record("check", "w0...wn", format_word(product, fold=False), lhs)
-    out.results = {"product": product, "expanded": lhs}
+    out.results = {"product": product, "expanded": lhs, "words": yw}
     return out

@@ -29,7 +29,7 @@ def test_classify_parse_error_exit_2():
 
 def test_pipeline_certified():
     code, out, _ = run_cli("pipeline", "h s1 s2^-2 s1 s2^-2",
-                           "--json", "--recheck", "--canonical")
+                           "--json", "--canonical")
     assert code == 0
     report = json.loads(out)
     assert report["verdict"]["verdict"] == "NonLO_Certified"
@@ -38,8 +38,7 @@ def test_pipeline_certified():
 
 
 def test_pipeline_case2():
-    report, code = run_pipeline("h^-1 s1 s2^-1 s1 s2^-2", recheck=True,
-                                canonical=True)
+    report, code = run_pipeline("h^-1 s1 s2^-1 s1 s2^-2", canonical=True)
     assert code == 0
     assert report["certificate"]["case"] == 2
 
@@ -63,9 +62,8 @@ def test_pipeline_parse_error():
 
 
 def test_pipeline_deterministic_json():
-    args = dict(recheck=True, canonical=True)
-    r1, _ = run_pipeline("h s1 s2^-3 s1 s2^-1", **args)
-    r2, _ = run_pipeline("h s1 s2^-3 s1 s2^-1", **args)
+    r1, _ = run_pipeline("h s1 s2^-3 s1 s2^-1", canonical=True)
+    r2, _ = run_pipeline("h s1 s2^-3 s1 s2^-1", canonical=True)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
@@ -105,6 +103,35 @@ def test_batch(tmp_path):
     code, out, _ = run_cli("batch", str(grid), "--json")
     assert code == 0
     assert json.loads(out)["counts"]["hypothesis_not_met"] == 1
+
+
+COUNTED = ("verify_certificate", "verify_lemma_left", "left_elimination",
+           "verify_lemma_right", "verify_product_relation")
+
+
+def test_batch_verifies_each_certificate_once(monkeypatch):
+    # every braidcover namespace that holds a counted function gets a
+    # counting wrapper, so calls inside a module are counted too
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("braidcover."):
+            for name in COUNTED:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    # a braid line's verdict is a report block, a tuple line's a string
+    for line, verdict_of in [("h s1 s2^-2 s1 s2^-2", lambda e: e["verdict"]["verdict"]),
+                             ("(3; 1,1,1; 1,1)", lambda e: e["verdict"])]:
+        calls.update(dict.fromkeys(COUNTED, 0))
+        results, _ = run_batch([line])
+        assert verdict_of(results[0]) == "NonLO_Certified"
+        assert calls == dict.fromkeys(COUNTED, 1), (line, calls)
 
 
 def test_batch_empty(tmp_path):
