@@ -10,7 +10,7 @@ transcripts that replay mechanically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 
 class BraidError(Exception):
@@ -20,6 +20,8 @@ class BraidError(Exception):
 class NormalizationError(BraidError):
     pass
 
+
+MAX_LETTERS = 10 ** 6   # longest word parse_braid expands, each h six letters
 
 # letters are (generator, sign) with generator 1 or 2 and sign +1/-1
 S1, S1I, S2, S2I = (1, 1), (1, -1), (2, 1), (2, -1)
@@ -62,8 +64,9 @@ class BraidWord:
 
 
 def parse_braid(text):
-    """Tokens s1, s2, h with optional ^k, whitespace separated."""
-    letters = []
+    """Tokens s1, s2, h with optional ^k, whitespace separated; a word
+    longer than MAX_LETTERS is refused before any letter is built."""
+    runs = []
     d = 0
     for tok in text.split():
         if tok == "1":
@@ -79,11 +82,13 @@ def parse_braid(text):
         if base == "h":
             d += k
         elif base in ("s1", "s2"):
-            g = 1 if base == "s1" else 2
-            s = 1 if k > 0 else -1
-            letters.extend([(g, s)] * abs(k))
+            runs.append((1 if base == "s1" else 2, k))
         else:
             raise BraidError("malformed token %r" % tok)
+    size = sum(abs(k) for _, k in runs) + 6 * abs(d)
+    if size > MAX_LETTERS:
+        raise BraidError("word expands to %d letters, more than %d" % (size, MAX_LETTERS))
+    letters = [(g, 1 if k > 0 else -1) for g, k in runs for _ in range(abs(k))]
     return BraidWord(tuple(letters), d)
 
 
@@ -94,14 +99,7 @@ def format_braid(w):
         parts.append("h")
     elif w.fulltwist:
         parts.append("h^%d" % w.fulltwist)
-    run = None
-    for g, s in w.letters + ((None, None),):
-        if run and run[0] == g and run[1] * s > 0:
-            run[1] += s
-        else:
-            if run:
-                parts.append("s%d" % run[0] if run[1] == 1 else "s%d^%d" % (run[0], run[1]))
-            run = [g, s] if g else None
+    parts += ["s%d" % g if e == 1 else "s%d^%d" % (g, e) for g, e in _runs(w.letters)]
     return " ".join(parts) if parts else "1"
 
 
@@ -137,11 +135,13 @@ def mirror(w, exchange=False):
 
 @dataclass(frozen=True)
 class BaldwinClass:
-    """Tagged union over the three families; kind is 1, 2, 3 or 0 (none)."""
+    """Tagged union over the three families; kind is 1, 2, 3 or 0 (none).
+    `moves`, the twist_search path that realised it, is not compared."""
     kind: int
     d: int = 0
     a: tuple = ()
     m: int = 0
+    moves: tuple = field(default=(), compare=False, repr=False)
 
     def to_json(self):
         if self.kind == 1:
@@ -240,7 +240,7 @@ def _type1_units(letters):
             a.append(0)
         else:
             a[-1] += 1
-    return start, tuple(a)
+    return tuple(a)
 
 
 def _canonical_rotation(seq):
@@ -251,7 +251,7 @@ def _match_state(letters, d):
     """Family shape of one residual word, or None."""
     units = _type1_units(letters)
     if units is not None and d in (-1, 0, 1):
-        return BaldwinClass(1, d=d, a=_canonical_rotation(list(units[1])))
+        return BaldwinClass(1, d=d, a=_canonical_rotation(units))
     if all(g == 2 for g, _ in letters) and d in (-1, 1):
         return BaldwinClass(2, d=d, m=sum(s for _, s in letters))
     neg2 = [l for l in letters if l == S2I]
@@ -267,16 +267,17 @@ def classify_baldwin(w):
 
     All extraction/cancellation orders are searched; among the states that
     match a family the least (kind, d, parameters) match is returned, which
-    keeps the answer independent of the stored rotation.
+    keeps the answer independent of the stored rotation.  The class carries
+    the moves of the first search state giving that match, so a normalizer
+    can replay the path instead of searching again.
     """
-    matches = []
-    for cur, dd, _ in twist_search(w.letters):
+    key = lambda c: (c.kind, c.d, c.a, c.m)
+    best = NOT_IN_FAMILY
+    for cur, dd, moves in twist_search(w.letters):
         c = _match_state(cur, w.fulltwist + dd)
-        if c is not None:
-            matches.append(c)
-    if not matches:
-        return NOT_IN_FAMILY
-    return min(matches, key=lambda c: (c.kind, c.d, c.a, c.m))
+        if c is not None and (best.kind == 0 or key(c) < key(best)):
+            best = replace(c, moves=moves)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +445,16 @@ def _rotate_to_s1_run(mv):
 
 
 def _prepare_type1(w, want_d):
-    """Shared front end: classify, then replay the extraction moves of the
-    state realizing the classification, leaving the rotated unit form."""
+    """Shared front end: classify, then replay the extraction moves the
+    class carries, leaving the rotated unit form."""
     c = classify_baldwin(w)
     if c.kind != 1 or c.d != want_d:
         raise NormalizationError(
             "normalizer expects a family (1) braid with d = %d, got %s" % (want_d, c.to_json()))
-    for cur, dd, moves in twist_search(w.letters):
-        if w.fulltwist + dd == want_d and _match_state(cur, want_d) == c:
-            mv = _Mover(w)
-            for move in moves:
-                mv.do(*move)
-            return mv
-    raise NormalizationError("classification state not reachable")  # unreachable
+    mv = _Mover(w)
+    for move in c.moves:
+        mv.do(*move)
+    return mv
 
 
 def _cyclic_runs(letters):

@@ -85,8 +85,11 @@ def run_pipeline(text, max_cosets=10 ** 6, canonical=False, cone_depth=None):
 
 
 def _diagram_block(report, w):
-    """White graph, Goeritz determinant and abelianization of the input word."""
-    g = closure_white_graph(expand_fulltwist(w))
+    """White graph, Goeritz determinant and abelianization of the input word.
+
+    Returns (Greene presentation, determinant, abelian invariants)."""
+    expanded = expand_fulltwist(w)
+    g = closure_white_graph(expanded)
     det = abs(goeritz_matrix(g).determinant())
     pres = greene_presentation(g, kill_root=True)
     inv = abelianize(pres)
@@ -100,16 +103,16 @@ def _diagram_block(report, w):
                              % (det, order))
     if order is None and det != 0:
         raise SoundnessError("free abelian rank with nonzero determinant")
-    if {gen for gen, _ in expand_fulltwist(w).letters} != {1, 2}:
+    if {gen for gen, _ in expanded.letters} != {1, 2}:
         # one strand closes off disjointly; graph quantities describe the
         # non-split part of the closure
         report["split_closure"] = True
-    return g, det, inv
+    return pres, det, inv
 
 
 def _finite_route(report, w, max_cosets, cone_depth=None):
-    g, det, inv = _diagram_block(report, w)
-    pres = tietze_simplify(greene_presentation(g, kill_root=True))
+    greene, _, inv = _diagram_block(report, w)
+    pres = tietze_simplify(greene)
     try:
         table = todd_coxeter(pres, max_cosets=max_cosets)
     except Exhausted as e:
@@ -132,7 +135,7 @@ def _finite_route(report, w, max_cosets, cone_depth=None):
 
 
 def _cycle_route(report, w, cls):
-    _diagram_block(report, w)
+    _, det, inv = _diagram_block(report, w)
     normalize = normalize_type1_d1 if cls.d == 1 else normalize_type1_dm1
     try:
         out = normalize(w)
@@ -143,9 +146,9 @@ def _cycle_route(report, w, cls):
     if not words_cyclically_equal(replayed, out.word):
         raise SoundnessError("transcript does not replay to the claimed word")
     if out.kind == "torus":
-        return _torsion_route(report, out, factors=[out.q])
+        return _torsion_route(report, out, [out.q], det, inv)
     if out.kind == "connected_sum":
-        return _torsion_route(report, out, factors=[out.q1, out.q2])
+        return _torsion_route(report, out, [out.q1, out.q2], det, inv)
     dec = DecoratedCycleGraph(out.m, out.a, out.b)
     graph2 = closure_white_graph(expand_fulltwist(out.word))
     if to_decorated(graph2) != dec:
@@ -154,7 +157,7 @@ def _cycle_route(report, w, cls):
     pres = cycle_presentation(dec)
     report["cycle_presentation"] = pres.to_json()
     det2 = abs(goeritz_matrix(graph2).determinant())
-    if det2 != report["determinant"]:
+    if det2 != det:
         raise SoundnessError("normalization changed the diagram determinant")
     try:
         cert = certify_cycle_non_lo(dec)
@@ -173,10 +176,7 @@ def _cycle_route(report, w, cls):
     return EXIT_OK
 
 
-def _torsion_route(report, outcome, factors):
-    det = report["determinant"]
-    inv = report["abelian"]
-    invariants = AbelianInvariants(tuple(inv["torsion"]), inv["rank"])
+def _torsion_route(report, outcome, factors, det, inv):
     expected = 1
     for q in factors:
         expected *= abs(q)
@@ -189,7 +189,7 @@ def _torsion_route(report, outcome, factors):
             "notes": list(outcome.notes)}
     verdicts = []
     if len(factors) == 1:
-        verdicts.append(torsion_non_lo(invariants, cyclic_known=True))
+        verdicts.append(torsion_non_lo(inv, cyclic_known=True))
     else:
         # connected sum of two-bridge branch sets: each factor contributes a
         # finite cyclic free factor, so torsion in any factor obstructs

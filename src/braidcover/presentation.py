@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .rewrite import FreeWord, cycle_relators, cycle_gens, format_word, solve_relation
+from .rewrite import FreeWord, cycle_relators, format_word, solve_relation
 
 
 class PresentationError(Exception):
@@ -41,12 +41,6 @@ class GroupPresentation:
     def pretty(self):
         return "< %s | %s >" % (", ".join(self.generators),
                                 ", ".join(format_word(r) for r in self.relators))
-
-
-def presentation_from_json(data):
-    return GroupPresentation(
-        tuple(data["generators"]),
-        tuple(FreeWord.from_pairs(r) for r in data["relators"]))
 
 
 def greene_presentation(g, kill_root=False, keep_root_relator=False):
@@ -83,17 +77,9 @@ def cycle_presentation(d):
     if d.n < 1:
         raise DegenerateShape("n = 0 cycle forms have no y segments")
     rel = cycle_relators(d.m, list(d.a), list(d.b))
-    gens = tuple(cycle_gens(d.m, d.b))
-    order = ["x%d" % i for i in range(1, d.m)] + \
-            ["y%d" % i for i in range(d.cn + 1)] + ["z", "z_rel"]
-    return GroupPresentation(gens, tuple(rel[k] for k in order))
-
-
-def kill_generator(p, gen):
-    """Substitute gen = 1; drops the generator and any emptied relators."""
-    sub = {gen: FreeWord()}
-    rels = tuple(r for r in (w.substitute(sub) for w in p.relators) if r)
-    return GroupPresentation(tuple(x for x in p.generators if x != gen), rels)
+    gens = tuple("x%d" % i for i in range(1, d.m)) + \
+        tuple("y%d" % i for i in range(d.cn + 1)) + ("z",)
+    return GroupPresentation(gens, tuple(rel[k] for k in gens + ("z_rel",)))
 
 
 # ---------------------------------------------------------------------------

@@ -219,11 +219,6 @@ def prefix_sums(b):
     return c
 
 
-def cycle_gens(m, b):
-    cn = sum(b)
-    return ["x%d" % i for i in range(1, m)] + ["y%d" % i for i in range(cn + 1)] + ["z"]
-
-
 def x_sym(i, m, cn):
     """Name of x_i with the y-aliases at the path ends."""
     if i <= 0:
@@ -265,6 +260,13 @@ def _end_relator(i, a_k, x):
     return (w("y%d" % (i - 1)).inverse() * yi) * yi ** a_k * across
 
 
+def root_relator(a, b):
+    """Relator of the root vertex, y_cn^-a_n ... y_c1^-a_1 y_0^-a_0."""
+    c = prefix_sums(b)
+    return FreeWord([("y%d" % c[k], -1) for k in range(len(b), -1, -1)
+                     for _ in range(a[k])])
+
+
 def cycle_relators(m, a, b):
     """The relator of every vertex of the cycle graph, keyed by generator.
 
@@ -294,10 +296,7 @@ def cycle_relators(m, a, b):
         rel["y0"] = (w(sym(1)).inverse() * y0).inverse() * y0 ** a[0] \
             * (w(sym(m - 1)).inverse() * y0).inverse()
     rel["z"] = w("z")
-    rz = FreeWord()
-    for k in range(n, -1, -1):
-        rz = rz * w("y%d" % c[k]) ** (-a[k])
-    rel["z_rel"] = rz
+    rel["z_rel"] = root_relator(a, b)
     return rel
 
 
@@ -634,7 +633,8 @@ def verify_product_relation(d):
 
     The product, expanded through the left elimination of its own
     verify_lemma_left call, must coincide with the eliminated image of the
-    inverted root relation y0^a0 y_{c_1}^a1 ... y_{c_n}^an.  The results
+    inverted root relator y0^a0 y_{c_1}^a1 ... y_{c_n}^an, taken from
+    root_relator, the helper cycle_relators uses for z_rel.  The results
     hold the product and the left words.
     """
     m, a, b = d.m, list(d.a), list(d.b)
@@ -648,8 +648,7 @@ def verify_product_relation(d):
     if product.count("y0") == 0:
         raise RewriteError("product word must mention y0")
     lhs = product.substitute(alpha)
-    rel = cycle_relators(m, a, b)
-    rhs = rel["z_rel"].inverse().substitute(t.results)
+    rhs = root_relator(a, b).inverse().substitute(t.results)
     if lhs != rhs:
         raise RewriteError("product does not match the root relation")
     out = ProofTranscript("product", {"m": m, "a": a, "b": b})

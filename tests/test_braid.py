@@ -8,7 +8,7 @@ from braidcover.braid import (BraidError, BraidWord, NormalizationError,
                               classify_baldwin, normalize_type1_d1,
                               normalize_type1_dm1, normalize_type1,
                               replay_moves, words_cyclically_equal,
-                              S1, S1I, S2, S2I)
+                              MAX_LETTERS, S1, S1I, S2, S2I)
 
 from b3oracle import braids_equal, conjugacy_invariants
 
@@ -40,6 +40,16 @@ def test_parse_errors():
         parse_braid("s1^x")
     with pytest.raises(BraidError):
         parse_braid("s3")
+
+
+def test_parse_refuses_oversized_words():
+    # the expanded length counts each h as six letters
+    for text in ("s1^1000001", "s1^600000 s2^600000", "h^200000"):
+        with pytest.raises(BraidError):
+            parse_braid(text)
+    assert 6 * 166666 + 4 == MAX_LETTERS
+    w = parse_braid("h^166666 s1^4")
+    assert (w.fulltwist, len(w)) == (166666, 4)
 
 
 def test_letters_always_reduced():

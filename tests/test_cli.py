@@ -1,15 +1,22 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import braidcover
 from braidcover.cli import main, run_pipeline, run_batch, PipelineFailure
+
+# the child process imports the same braidcover as the tests, installed or not
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(braidcover.__file__)))
 
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "braidcover.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -105,14 +112,28 @@ def test_batch(tmp_path):
     assert json.loads(out)["counts"]["hypothesis_not_met"] == 1
 
 
-COUNTED = ("verify_certificate", "verify_lemma_left", "left_elimination",
-           "verify_lemma_right", "verify_product_relation")
+CERTIFIED = {"verify_certificate": 1, "verify_lemma_left": 1, "left_elimination": 1,
+             "verify_lemma_right": 1, "verify_product_relation": 1}
+FAMILY1 = dict(CERTIFIED, twist_search=2, classify_baldwin=2, expand_fulltwist=2,
+               greene_presentation=1, cycle_relators=2)
+FINITE = {"twist_search": 1, "classify_baldwin": 1, "expand_fulltwist": 1,
+          "greene_presentation": 1}
+COUNTED = tuple(FAMILY1)
+# line, verdict, calls per counted function (0 where absent); the second
+# classification of a family (1) line is the normalizer's own
+COUNT_TABLE = [
+    ("h s1 s2^-2 s1 s2^-2", "NonLO_Certified", FAMILY1),
+    ("h^-1 s1 s2^-1 s1 s2^-2", "NonLO_Certified", FAMILY1),
+    ("h s2^4", "NonLO_FiniteGroup", FINITE),
+    ("h s1^-2 s2^-1", "NonLO_FiniteGroup", FINITE),
+    ("(3; 1,1,1; 1,1)", "NonLO_Certified", dict(CERTIFIED, cycle_relators=2)),
+]
 
 
 def test_batch_verifies_each_certificate_once(monkeypatch):
     # every braidcover namespace that holds a counted function gets a
     # counting wrapper, so calls inside a module are counted too
-    calls = dict.fromkeys(COUNTED, 0)
+    calls = {}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -125,13 +146,24 @@ def test_batch_verifies_each_certificate_once(monkeypatch):
             for name in COUNTED:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-    # a braid line's verdict is a report block, a tuple line's a string
-    for line, verdict_of in [("h s1 s2^-2 s1 s2^-2", lambda e: e["verdict"]["verdict"]),
-                             ("(3; 1,1,1; 1,1)", lambda e: e["verdict"])]:
+    for line, verdict, want in COUNT_TABLE:
         calls.update(dict.fromkeys(COUNTED, 0))
         results, _ = run_batch([line])
-        assert verdict_of(results[0]) == "NonLO_Certified"
-        assert calls == dict.fromkeys(COUNTED, 1), (line, calls)
+        # a braid line's verdict is a report block, a tuple line's a string
+        got = results[0]["verdict"]
+        if isinstance(got, dict):
+            got = got["verdict"]
+        assert got == verdict, line
+        assert calls == dict(dict.fromkeys(COUNTED, 0), **want), (line, calls)
+
+
+def test_oversized_word_is_an_input_error(tmp_path):
+    dot = tmp_path / "graph.dot"
+    with pytest.raises(PipelineFailure) as err:
+        run_pipeline("h^200000")
+    assert err.value.code == 2
+    assert main(["pipeline", "h^200000", "--dot", str(dot)]) == 2
+    assert not dot.exists()
 
 
 def test_batch_empty(tmp_path):

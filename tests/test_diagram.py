@@ -7,10 +7,12 @@ from braidcover.braid import parse_braid, expand_fulltwist, mirror, BraidWord
 from braidcover.diagram import (CheckerboardGraph, DecoratedCycleGraph,
                                 DegenerateDiagram, DiagramError, ShapeMismatch,
                                 closure_white_graph, cycle_graph_from_params,
-                                to_decorated, goeritz_matrix, graphs_isomorphic,
+                                to_decorated, goeritz_matrix,
                                 is_alternating_closure)
 from braidcover.braid import classify_baldwin
 from braidcover.presentation import greene_presentation, abelianize
+
+from support import graphs_isomorphic
 
 
 def graph_of(text):

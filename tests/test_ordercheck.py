@@ -16,6 +16,8 @@ from braidcover.ordercheck import (Exhausted, HypothesisNotMet, todd_coxeter,
                                    certify_cycle_non_lo, verify_certificate,
                                    VERDICT_TORSION, VERDICT_INCONCLUSIVE)
 
+from support import kill_generator
+
 w = FreeWord.gen
 
 
@@ -59,9 +61,7 @@ def test_todd_coxeter_exhausts_on_infinite():
 
 def test_todd_coxeter_invariances():
     d = DecoratedCycleGraph(3, (1, 1), (2,))
-    base = kill = cycle_presentation(d)
-    from braidcover.presentation import kill_generator
-    kill = kill_generator(base, "z")
+    kill = kill_generator(cycle_presentation(d), "z")
     order = todd_coxeter(kill).order
     # generator permutation
     perm = GroupPresentation(tuple(reversed(kill.generators)), kill.relators)
@@ -102,7 +102,6 @@ def test_positive_cone_infinite_cyclic():
 
 
 def test_positive_cone_on_trefoil_cover():
-    from braidcover.presentation import kill_generator
     g = closure_white_graph(expand_fulltwist(parse_braid("s2^3 s1")))
     p = tietze_simplify(greene_presentation(g, kill_root=True))
     ct = todd_coxeter(p)

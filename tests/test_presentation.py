@@ -9,10 +9,11 @@ from braidcover.diagram import (CheckerboardGraph, DecoratedCycleGraph,
 from braidcover.braid import parse_braid, expand_fulltwist
 from braidcover.presentation import (GroupPresentation, PresentationError,
                                      DegenerateShape, greene_presentation,
-                                     cycle_presentation, kill_generator,
+                                     cycle_presentation,
                                      abelianize, tietze_simplify,
-                                     smith_normal_form, relator_sets_equal,
-                                     presentation_from_json)
+                                     smith_normal_form, relator_sets_equal)
+
+from support import kill_generator, presentation_from_json
 
 w = FreeWord.gen
 
