@@ -14,6 +14,7 @@ from .rewrite import (FreeWord, solve_relation, verify_lemma_x, verify_lemma_y,
                       verify_lemma_left, verify_lemma_right,
                       verify_product_relation)
 from .ordercheck import (certify_cycle_non_lo, verify_certificate,
-                         todd_coxeter, torsion_non_lo, positive_cone_search)
+                         todd_coxeter, infinite_witness, torsion_non_lo,
+                         positive_cone_search)
 
 __version__ = "0.1.0"

@@ -16,12 +16,13 @@ from .braid import (BraidError, NormalizationError, parse_braid, format_braid,
                     normalize_type1_d1, normalize_type1_dm1, replay_moves,
                     words_cyclically_equal)
 from .diagram import (DecoratedCycleGraph, DiagramError, closure_white_graph,
-                      goeritz_matrix, is_alternating_closure, to_decorated)
+                      goeritz_matrix, graph_dot, is_alternating_closure,
+                      to_decorated)
 from .presentation import (AbelianInvariants, greene_presentation,
                            cycle_presentation, abelianize, tietze_simplify)
 from .ordercheck import (Exhausted, HypothesisNotMet, SoundnessError, Verdict,
                          certify_cycle_non_lo, verify_certificate, todd_coxeter,
-                         torsion_non_lo, positive_cone_search,
+                         infinite_witness, torsion_non_lo, positive_cone_search,
                          VERDICT_CERTIFIED, VERDICT_FINITE, VERDICT_TORSION,
                          VERDICT_ALTERNATING, VERDICT_INCONCLUSIVE)
 
@@ -91,7 +92,7 @@ def _diagram_block(report, w):
     expanded = expand_fulltwist(w)
     g = closure_white_graph(expanded)
     det = abs(goeritz_matrix(g).determinant())
-    pres = greene_presentation(g, kill_root=True)
+    pres = greene_presentation(g)
     inv = abelianize(pres)
     report["graph"] = g.to_json()
     report["determinant"] = det
@@ -111,8 +112,23 @@ def _diagram_block(report, w):
 
 
 def _finite_route(report, w, max_cosets, cone_depth=None):
+    """Families (2) and (3): Tietze-simplify the Greene presentation, then
+    prove the group infinite (an index-2 subgroup with infinite
+    abelianization, reported inconclusive at once) or enumerate its cosets;
+    a closed enumeration gives the finite-group verdict, a cap hit is
+    inconclusive."""
     greene, _, inv = _diagram_block(report, w)
     pres = tietze_simplify(greene)
+    eps = infinite_witness(pres)
+    if eps is not None:
+        report["verdict"] = Verdict(
+            VERDICT_INCONCLUSIVE,
+            "the kernel of the map onto Z/2 sending %s to 1 is an index-2 "
+            "subgroup with infinite abelianization, so the group is infinite "
+            "and coset enumeration cannot close"
+            % ", ".join(g for g in pres.generators if eps[g]),
+            machine_checked=False).to_json()
+        return EXIT_INCONCLUSIVE
     try:
         table = todd_coxeter(pres, max_cosets=max_cosets)
     except Exhausted as e:
@@ -253,10 +269,13 @@ def cmd_pipeline(args):
         print("error: %s" % e, file=sys.stderr)
         return e.code
     if args.dot:
+        graph = report.get("graph")
         try:
-            w = expand_fulltwist(parse_braid(args.braid))
+            if graph is None:       # unclassified words get no diagram block
+                w = expand_fulltwist(parse_braid(args.braid))
+                graph = closure_white_graph(w).to_json()
             with open(args.dot, "w") as f:
-                f.write(closure_white_graph(w).to_dot())
+                f.write(graph_dot(graph))
         except (BraidError, DiagramError) as e:
             print("dot export failed: %s" % e, file=sys.stderr)
             return EXIT_INPUT

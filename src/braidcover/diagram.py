@@ -110,21 +110,23 @@ class CheckerboardGraph:
         ce = self.components() - c0
         return v - e + self.face_count() == 2 * ce + c0
 
-    def to_dot(self):
-        lines = ["graph white_graph {"]
-        for v in self.vertices:
-            attr = ' [root=true, shape=doublecircle]' if v == self.root else ""
-            lines.append('  "%s"%s;' % (v, attr))
-        for u, v, s in self.edges:
-            lines.append('  "%s" -- "%s" [sign=%d, label="%s"];'
-                         % (u, v, s, "+" if s > 0 else "-"))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
     def to_json(self):
         return {"vertices": list(self.vertices),
                 "edges": [[u, v, s] for u, v, s in self.edges],
                 "root": self.root}
+
+
+def graph_dot(data):
+    """DOT text of a white graph given in its `to_json` form."""
+    lines = ["graph white_graph {"]
+    for v in data["vertices"]:
+        attr = ' [root=true, shape=doublecircle]' if v == data["root"] else ""
+        lines.append('  "%s"%s;' % (v, attr))
+    for u, v, s in data["edges"]:
+        lines.append('  "%s" -- "%s" [sign=%d, label="%s"];'
+                     % (u, v, s, "+" if s > 0 else "-"))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def closure_white_graph(w):
@@ -445,7 +447,7 @@ class GoeritzMatrix:
     matrix: tuple
 
     def determinant(self):
-        return _int_det([list(r) for r in self.matrix])
+        return _int_det(self.matrix)
 
     def to_json(self):
         return {"labels": list(self.labels), "matrix": [list(r) for r in self.matrix]}
@@ -471,27 +473,50 @@ def goeritz_matrix(g):
 
 
 def _int_det(m):
-    """Fraction-free Gaussian elimination (Bareiss), exact over Z."""
-    n = len(m)
-    if n == 0:
-        return 1
+    """Fraction-free elimination (Bareiss) over sparse rows, exact over Z.
+
+    Rows are dicts column -> nonzero entry.  Bareiss keeps every entry a
+    minor of the input, so each division below is exact.  A step would
+    only rescale a row with no entry in the pivot column, by p / prev; it
+    is left as stored instead, its true entries being the stored ones
+    times prev / base[i].  A row the step does change is computed from
+    its stored entries, dividing by base[i] in place of prev.  So a step
+    visits the pivot row and the rows it changes, and only their nonzero
+    entries.
+    """
+    rows = [{j: v for j, v in enumerate(r) if v} for r in m]
+    n = len(rows)
+    base = [1] * n
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+    for k in range(n):
+        if k not in rows[k]:
             for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
+                if k in rows[i]:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    base[k], base[i] = base[i], base[k]
                     sign = -sign
                     break
             else:
                 return 0
+        top = rows[k]
+        if base[k] != prev:
+            top = {j: v * prev // base[k] for j, v in top.items()}
+        p = top.pop(k)
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            row = rows[i]
+            if k in row:
+                a = row.pop(k)
+                b = base[i]
+                new = {j: v * p // b for j, v in row.items() if j not in top}
+                for j, v in top.items():
+                    x = (row.get(j, 0) * p - a * v) // b
+                    if x:
+                        new[j] = x
+                rows[i] = new
+                base[i] = p
+        prev = p
+    return sign * prev
 
 
 def is_alternating_closure(c):

@@ -2,8 +2,10 @@
 
 Three routes: the sign-deduction certificate for cycle-form presentations,
 HLT coset enumeration to witness finite groups, and torsion of a known
-cyclic (or lens-space connected-sum) cover.  A bounded positive-cone
-search is included as a generic brute-force obstruction.
+cyclic (or lens-space connected-sum) cover.  An index-2 subgroup with
+infinite abelianization proves a group infinite before enumeration is
+tried.  A bounded positive-cone search is included as a generic
+brute-force obstruction.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from .rewrite import (FreeWord, format_word, parse_word, x_sym, right_words,
                       verify_lemma_x, verify_lemma_right, verify_product_relation,
                       QR)
 from .diagram import DecoratedCycleGraph, cycle_graph_from_params
-from .presentation import cycle_presentation, relator_sets_equal
+from .presentation import (cycle_presentation, relator_sets_equal,
+                           smith_normal_form)
 
 VERDICT_CERTIFIED = "NonLO_Certified"
 VERDICT_FINITE = "NonLO_FiniteGroup"
@@ -204,6 +207,105 @@ def _standardize(rows, ncols):
         i += 1
     assert len(new_to_old) == len(rows)
     return [[order[t] for t in rows[old]] for old in new_to_old]
+
+
+# ---------------------------------------------------------------------------
+# Infinitude from an index-2 subgroup (Reidemeister-Schreier).
+# ---------------------------------------------------------------------------
+
+# dim H1(G; F2) above which infinite_witness gives up: it tries all
+# 2^dim - 1 maps onto Z/2
+WITNESS_MAX_DIM = 8
+
+
+def infinite_witness(p):
+    """A map onto Z/2 whose kernel has infinite abelianization, or None.
+
+    That kernel has index 2, so the group is infinite and coset
+    enumeration of it cannot close.  The maps are the nonzero solutions
+    of the exponent-sum matrix mod 2, all of them tried (the infinite
+    dihedral group has one good map among three).  Returns {generator:
+    0 or 1} for the first kernel of positive free rank.  None when no
+    kernel has one or H1(G; F2) has dimension above WITNESS_MAX_DIM; a
+    finite group always gets None.
+    """
+    gens = p.generators
+    col = {g: i for i, g in enumerate(gens)}
+    rows = []
+    for r in p.relators:
+        row = 0
+        for sym, _ in r.letters:
+            row ^= 1 << col[sym]
+        rows.append(row)
+    basis = _f2_solutions(rows, len(gens))
+    if len(basis) > WITNESS_MAX_DIM:
+        return None
+    for pick in range(1, 1 << len(basis)):
+        bits = 0
+        for i, v in enumerate(basis):
+            if pick >> i & 1:
+                bits ^= v
+        eps = {g: bits >> i & 1 for i, g in enumerate(gens)}
+        relations, ncols = _index2_kernel_relations(p, eps)
+        if len(smith_normal_form(relations, ncols)) < ncols:
+            return eps
+    return None
+
+
+def _f2_solutions(rows, n):
+    """Basis of {x in F2^n : r.x = 0 for each row}; vectors as bitmasks."""
+    pivots = {}                 # pivot column -> row, in reduced echelon form
+    for r in rows:
+        for c, pr in pivots.items():
+            if r >> c & 1:
+                r ^= pr
+        if not r:
+            continue
+        c = (r & -r).bit_length() - 1
+        for c2, pr in pivots.items():
+            if pr >> c & 1:
+                pivots[c2] = pr ^ r
+        pivots[c] = r
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            x = 1 << f
+            for c, pr in pivots.items():
+                if pr >> f & 1:
+                    x |= 1 << c
+            basis.append(x)
+    return basis
+
+
+def _index2_kernel_relations(p, eps):
+    """Abelianized Reidemeister-Schreier presentation of the kernel of
+    eps: G -> Z/2, as (relation rows, number of generators).
+
+    Cosets 0 and 1 have representatives 1 and t, the first generator eps
+    sends to 1.  Column (g, c) stands for rep(c) g rep(c + eps(g))^-1;
+    (t, 0) is 1 and has no column.  Each relator is rewritten from both
+    cosets; a row holds the exponent sums of its rewrite.
+    """
+    t = next(g for g in p.generators if eps[g])
+    col = {}
+    for g in p.generators:
+        for c in (0, 1):
+            if (g, c) != (t, 0):
+                col[g, c] = len(col)
+    rows = []
+    for r in p.relators:
+        for start in (0, 1):
+            c = start
+            row = [0] * len(col)
+            for sym, sign in r.letters:
+                if sign == -1:
+                    c ^= eps[sym]
+                if (sym, c) in col:
+                    row[col[sym, c]] += sign
+                if sign == 1:
+                    c ^= eps[sym]
+            rows.append(row)
+    return rows, len(col)
 
 
 # ---------------------------------------------------------------------------

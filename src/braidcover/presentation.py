@@ -43,12 +43,12 @@ class GroupPresentation:
                                 ", ".join(format_word(r) for r in self.relators))
 
 
-def greene_presentation(g, kill_root=False, keep_root_relator=False):
+def greene_presentation(g, keep_root_relator=False):
     """Presentation of the branched double cover group from a white graph.
 
-    With kill_root the root generator is substituted away; the root vertex
-    relator is redundant (the vertex relations have one global dependency)
-    and dropped unless keep_root_relator is set.
+    The root generator is substituted away.  The root vertex relator is
+    then redundant (the vertex relations have one global dependency) and
+    dropped unless keep_root_relator is set.
     """
     relators = []
     for v in g.vertices:
@@ -58,9 +58,6 @@ def greene_presentation(g, kill_root=False, keep_root_relator=False):
             other = b if end == 0 else a
             w = w * (FreeWord.gen(other).inverse() * FreeWord.gen(v)) ** s
         relators.append((v, w))
-    if not kill_root:
-        rels = tuple(w for _, w in relators) + (FreeWord.gen(g.root),)
-        return GroupPresentation(tuple(g.vertices), rels)
     sub = {g.root: FreeWord()}
     rels = tuple(w.substitute(sub) for v, w in relators
                  if v != g.root or keep_root_relator)
@@ -190,31 +187,43 @@ def tietze_simplify(p):
     """Eliminate generators that occur exactly once in some relator.
 
     Abelian invariants are unchanged; the loop is deterministic (shortest
-    relator first) and stops at a fixpoint.
+    relator first, ties by printed form) and stops at a fixpoint.  Each
+    relator's sort key and elimination target are computed once, when the
+    relator is made; an elimination rewrites only the relators that hold
+    the eliminated generator, with its solved word inverted once.
     """
     gens = list(p.generators)
-    rels = [r.cyclic_reduce() for r in p.relators if r.cyclic_reduce()]
-    changed = True
-    while changed:
-        changed = False
-        rels.sort(key=lambda r: (len(r), str(r)))
-        for ri, r in enumerate(rels):
-            target = None
-            for sym in sorted(r.symbols()):
-                if r.count(sym) == 1:
-                    target = sym
-                    break
-            if target is None:
-                continue
-            word = solve_relation(r, target)
-            sub = {target: word}
-            gens.remove(target)
-            rels = [x.substitute(sub).cyclic_reduce()
-                    for xi, x in enumerate(rels) if xi != ri]
-            rels = [x for x in rels if x]
-            changed = True
+    rels = [_tietze_entry(w) for w in (r.cyclic_reduce() for r in p.relators) if w]
+    while True:
+        rels.sort(key=lambda e: e[0])
+        ri = next((i for i, e in enumerate(rels) if e[2] is not None), None)
+        if ri is None:
             break
-    return GroupPresentation(tuple(gens), tuple(rels))
+        _, r, target, _ = rels.pop(ri)
+        word = solve_relation(r, target)
+        spelled = {1: word.letters, -1: word.inverse().letters}
+        gens.remove(target)
+        for i, (_, x, _, counts) in enumerate(rels):
+            if target in counts:
+                out = []
+                for sym, sign in x.letters:
+                    if sym == target:
+                        out.extend(spelled[sign])
+                    else:
+                        out.append((sym, sign))
+                rels[i] = _tietze_entry(FreeWord(out).cyclic_reduce())
+        rels = [e for e in rels if e[1]]
+    return GroupPresentation(tuple(gens), tuple(e[1] for e in rels))
+
+
+def _tietze_entry(r):
+    """(sort key, relator, least generator occurring once in it or None,
+    occurrence counts of its generators)."""
+    counts = {}
+    for sym, _ in r.letters:
+        counts[sym] = counts.get(sym, 0) + 1
+    once = [sym for sym, c in counts.items() if c == 1]
+    return (len(r), str(r)), r, min(once) if once else None, counts
 
 
 def relator_sets_equal(p1, p2):

@@ -114,11 +114,12 @@ class FreeWord:
         return FreeWord(out)
 
     def cyclic_reduce(self):
-        letters = list(self.letters)
-        while len(letters) >= 2 and letters[0][0] == letters[-1][0] \
-                and letters[0][1] == -letters[-1][1]:
-            letters = letters[1:-1]
-        return FreeWord(letters)
+        w = self.letters
+        i, j = 0, len(w)
+        while j - i >= 2 and w[i][0] == w[j - 1][0] and w[i][1] == -w[j - 1][1]:
+            i += 1
+            j -= 1
+        return self if i == 0 else FreeWord(w[i:j])
 
     def rotations(self):
         w = self.letters

@@ -1,4 +1,7 @@
-"""Helpers only the tests use: graph isomorphism and presentation edits."""
+"""Helpers only the tests use: graph isomorphism, presentation edits and
+a determinant oracle."""
+
+import itertools
 
 from braidcover.presentation import GroupPresentation
 from braidcover.rewrite import FreeWord
@@ -67,3 +70,18 @@ def graphs_isomorphic(g1, g2, respect_root=True):
         return False
 
     return bt(0)
+
+
+def leibniz_det(m):
+    """Determinant as the signed sum over permutations; exponential, for
+    small matrices only."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total

@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import braidcover
+from braidcover.braid import expand_fulltwist, parse_braid
 from braidcover.cli import main, run_pipeline, run_batch, PipelineFailure
+from braidcover.diagram import closure_white_graph, graph_dot
 
 # the child process imports the same braidcover as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(braidcover.__file__)))
@@ -112,28 +114,11 @@ def test_batch(tmp_path):
     assert json.loads(out)["counts"]["hypothesis_not_met"] == 1
 
 
-CERTIFIED = {"verify_certificate": 1, "verify_lemma_left": 1, "left_elimination": 1,
-             "verify_lemma_right": 1, "verify_product_relation": 1}
-FAMILY1 = dict(CERTIFIED, twist_search=2, classify_baldwin=2, expand_fulltwist=2,
-               greene_presentation=1, cycle_relators=2)
-FINITE = {"twist_search": 1, "classify_baldwin": 1, "expand_fulltwist": 1,
-          "greene_presentation": 1}
-COUNTED = tuple(FAMILY1)
-# line, verdict, calls per counted function (0 where absent); the second
-# classification of a family (1) line is the normalizer's own
-COUNT_TABLE = [
-    ("h s1 s2^-2 s1 s2^-2", "NonLO_Certified", FAMILY1),
-    ("h^-1 s1 s2^-1 s1 s2^-2", "NonLO_Certified", FAMILY1),
-    ("h s2^4", "NonLO_FiniteGroup", FINITE),
-    ("h s1^-2 s2^-1", "NonLO_FiniteGroup", FINITE),
-    ("(3; 1,1,1; 1,1)", "NonLO_Certified", dict(CERTIFIED, cycle_relators=2)),
-]
-
-
-def test_batch_verifies_each_certificate_once(monkeypatch):
-    # every braidcover namespace that holds a counted function gets a
-    # counting wrapper, so calls inside a module are counted too
-    calls = {}
+def count_calls(monkeypatch, names):
+    """Counts of calls to the named functions, kept up to date in the
+    returned dict.  Every braidcover namespace that holds one gets a
+    counting wrapper, so calls inside a module are counted too."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -143,9 +128,34 @@ def test_batch_verifies_each_certificate_once(monkeypatch):
 
     for modname, mod in list(sys.modules.items()):
         if modname.startswith("braidcover."):
-            for name in COUNTED:
+            for name in names:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    return calls
+
+
+CERTIFIED = {"verify_certificate": 1, "verify_lemma_left": 1, "left_elimination": 1,
+             "verify_lemma_right": 1, "verify_product_relation": 1}
+FAMILY1 = dict(CERTIFIED, twist_search=2, classify_baldwin=2, expand_fulltwist=2,
+               greene_presentation=1, cycle_relators=2)
+FINITE = {"twist_search": 1, "classify_baldwin": 1, "expand_fulltwist": 1,
+          "greene_presentation": 1, "infinite_witness": 1, "todd_coxeter": 1}
+COUNTED = tuple(FAMILY1) + ("infinite_witness", "todd_coxeter")
+# line, verdict, calls per counted function (0 where absent); the second
+# classification of a family (1) line is the normalizer's own
+COUNT_TABLE = [
+    ("h s1 s2^-2 s1 s2^-2", "NonLO_Certified", FAMILY1),
+    ("h^-1 s1 s2^-1 s1 s2^-2", "NonLO_Certified", FAMILY1),
+    ("h s2^4", "NonLO_FiniteGroup", FINITE),
+    ("h s1^-2 s2^-1", "NonLO_FiniteGroup", FINITE),
+    # the infinite dihedral group: proved infinite, never enumerated
+    ("h^-1 s2^2", "Inconclusive", dict(FINITE, todd_coxeter=0)),
+    ("(3; 1,1,1; 1,1)", "NonLO_Certified", dict(CERTIFIED, cycle_relators=2)),
+]
+
+
+def test_batch_verifies_each_certificate_once(monkeypatch):
+    calls = count_calls(monkeypatch, COUNTED)
     for line, verdict, want in COUNT_TABLE:
         calls.update(dict.fromkeys(COUNTED, 0))
         results, _ = run_batch([line])
@@ -155,6 +165,27 @@ def test_batch_verifies_each_certificate_once(monkeypatch):
             got = got["verdict"]
         assert got == verdict, line
         assert calls == dict(dict.fromkeys(COUNTED, 0), **want), (line, calls)
+
+
+DOT_COUNTED = ("parse_braid", "expand_fulltwist", "closure_white_graph")
+
+
+def test_dot_reuses_the_pipeline_graph(monkeypatch, tmp_path, capsys):
+    dot = tmp_path / "graph.dot"
+    g = closure_white_graph(expand_fulltwist(parse_braid("h s1 s2^-1")))
+    want = graph_dot(g.to_json())
+    calls = count_calls(monkeypatch, DOT_COUNTED)
+    assert main(["pipeline", "h s1 s2^-1", "--dot", str(dot), "--canonical"]) == 0
+    assert calls == dict.fromkeys(DOT_COUNTED, 1)
+    assert dot.read_text() == want
+
+
+def test_dot_of_unclassified_word(tmp_path, capsys):
+    # no family, so no diagram block: --dot builds the graph itself
+    dot = tmp_path / "graph.dot"
+    assert main(["pipeline", "h^2 s2^5", "--dot", str(dot)]) == 1
+    g = closure_white_graph(expand_fulltwist(parse_braid("h^2 s2^5")))
+    assert dot.read_text() == graph_dot(g.to_json())
 
 
 def test_oversized_word_is_an_input_error(tmp_path):

@@ -8,11 +8,12 @@ from braidcover.diagram import (CheckerboardGraph, DecoratedCycleGraph,
                                 DegenerateDiagram, DiagramError, ShapeMismatch,
                                 closure_white_graph, cycle_graph_from_params,
                                 to_decorated, goeritz_matrix,
-                                is_alternating_closure)
+                                is_alternating_closure, graph_dot,
+                                _int_det)
 from braidcover.braid import classify_baldwin
 from braidcover.presentation import greene_presentation, abelianize
 
-from support import graphs_isomorphic
+from support import graphs_isomorphic, leibniz_det
 
 
 def graph_of(text):
@@ -60,7 +61,7 @@ def test_split_torus_pattern():
         g = graph_of("s2^%d" % n)
         assert len(g.vertices) == n + 1
         assert goeritz_matrix(g).determinant() == 0
-        assert abelianize(greene_presentation(g, kill_root=True)).rank >= 1
+        assert abelianize(greene_presentation(g)).rank >= 1
 
 
 def test_known_determinants():
@@ -169,11 +170,27 @@ def test_determinant_equals_abelianization_on_type1():
         g = closure_white_graph(w)
         det = abs(goeritz_matrix(g).determinant())
         assert det == burau_determinant(w)
-        inv = abelianize(greene_presentation(g, kill_root=True))
+        inv = abelianize(greene_presentation(g))
         if inv.rank:
             assert det == 0
         else:
             assert det == inv.order()
+
+
+def test_int_det_matches_leibniz():
+    rng = random.Random(1109)
+    singular = 0
+    for t in range(2000):
+        n = rng.randint(0, 6)
+        m = [[rng.randint(-5, 5) if rng.random() < 0.5 else 0 for _ in range(n)]
+             for _ in range(n)]
+        if n >= 3 and t % 10 == 0:
+            # singular without a zero row or column
+            m[-1] = [x + y for x, y in zip(m[0], m[1])]
+        want = leibniz_det(m)
+        singular += want == 0
+        assert _int_det(m) == want, m
+    assert 200 < singular < 1800
 
 
 def test_is_alternating_closure():
@@ -183,7 +200,7 @@ def test_is_alternating_closure():
 
 
 def test_dot_export():
-    dot = graph_of("s2^2 s1").to_dot()
+    dot = graph_dot(graph_of("s2^2 s1").to_json())
     assert dot.startswith("graph")
     assert "sign=-1" in dot and "root=true" in dot
 

@@ -1,6 +1,9 @@
 import copy
 import itertools
 import json
+import os
+import sys
+import time
 
 import pytest
 
@@ -12,13 +15,31 @@ from braidcover.presentation import (GroupPresentation, AbelianInvariants,
 from braidcover.braid import parse_braid, expand_fulltwist, normalize_type1
 from braidcover.diagram import closure_white_graph
 from braidcover.ordercheck import (Exhausted, HypothesisNotMet, todd_coxeter,
-                                   positive_cone_search, torsion_non_lo,
-                                   certify_cycle_non_lo, verify_certificate,
-                                   VERDICT_TORSION, VERDICT_INCONCLUSIVE)
+                                   infinite_witness, positive_cone_search,
+                                   torsion_non_lo, certify_cycle_non_lo,
+                                   verify_certificate, WITNESS_MAX_DIM,
+                                   VERDICT_TORSION, VERDICT_INCONCLUSIVE,
+                                   _index2_kernel_relations)
+from braidcover.presentation import smith_normal_form
+from braidcover.cli import run_pipeline
 
 from support import kill_generator
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+import workloads  # noqa: E402
+
 w = FreeWord.gen
+
+QUATERNION = GroupPresentation(
+    ("a", "b"),
+    (w("a") ** 4, w("a") ** 2 * w("b") ** -2,
+     w("b") ** -1 * w("a") * w("b") * w("a")))
+BINARY_ICOSAHEDRAL = GroupPresentation(
+    ("s", "t"),
+    ((w("s") * w("t")) ** 2 * w("s") ** -3, w("s") ** 3 * w("t") ** -5))
 
 
 def test_todd_coxeter_cyclic():
@@ -39,18 +60,11 @@ def test_todd_coxeter_symmetric_group():
 
 
 def test_todd_coxeter_quaternion():
-    p = GroupPresentation(
-        ("a", "b"),
-        (w("a") ** 4, w("a") ** 2 * w("b") ** -2,
-         w("b") ** -1 * w("a") * w("b") * w("a")))
-    assert todd_coxeter(p).order == 8
+    assert todd_coxeter(QUATERNION).order == 8
 
 
 def test_todd_coxeter_binary_icosahedral():
-    p = GroupPresentation(("s", "t"),
-                          ((w("s") * w("t")) ** 2 * w("s") ** -3,
-                           w("s") ** 3 * w("t") ** -5))
-    assert todd_coxeter(p).order == 120
+    assert todd_coxeter(BINARY_ICOSAHEDRAL).order == 120
 
 
 def test_todd_coxeter_exhausts_on_infinite():
@@ -68,6 +82,61 @@ def test_todd_coxeter_invariances():
     assert todd_coxeter(perm).order == order
     # tietze simplification
     assert todd_coxeter(tietze_simplify(kill)).order == order
+
+
+def test_witness_flags_infinite_groups():
+    # Z/2 * Z/2: only the map sending both generators to 1 has a kernel
+    # with infinite abelianization (it is <ab>, infinite cyclic)
+    dihedral = GroupPresentation(("a", "b"), (w("a") ** 2, w("b") ** 2))
+    assert infinite_witness(dihedral) == {"a": 1, "b": 1}
+    assert infinite_witness(GroupPresentation(("a",), ())) == {"a": 1}
+
+
+def test_witness_passes_finite_groups():
+    for p in (QUATERNION, BINARY_ICOSAHEDRAL,
+              GroupPresentation(("v",), (w("v") ** 6,))):
+        assert infinite_witness(p) is None
+
+
+def test_witness_caps_the_mod_2_dimension():
+    def free_product(k):
+        gens = tuple("g%d" % i for i in range(k))
+        return GroupPresentation(gens, tuple(w(g) ** 2 for g in gens))
+    assert infinite_witness(free_product(WITNESS_MAX_DIM)) is not None
+    assert infinite_witness(free_product(WITNESS_MAX_DIM + 1)) is None
+
+
+def test_index2_kernel_relations():
+    # <a^2> in Z/4 is Z/2; an index-2 subgroup of the free group of rank 2
+    # is free of rank 3
+    rows, ncols = _index2_kernel_relations(GroupPresentation(("a",), (w("a") ** 4,)),
+                                           {"a": 1})
+    assert ncols == 1 and smith_normal_form(rows, ncols) == [2]
+    rows, ncols = _index2_kernel_relations(GroupPresentation(("a", "b"), ()),
+                                           {"a": 1, "b": 0})
+    assert ncols == 3 and rows == []
+
+
+def test_witness_passes_the_finite_workload():
+    # every family (2)/(3) member there has a finite group but h^-1 s2^2
+    checked = 0
+    for op in workloads.generate("finite", 1):
+        if op.line == "h^-1 s2^2":
+            continue
+        g = closure_white_graph(expand_fulltwist(parse_braid(op.line)))
+        assert infinite_witness(tietze_simplify(greene_presentation(g))) is None, op.line
+        checked += 1
+    assert checked >= 60
+
+
+def test_infinite_dihedral_lines_end_fast():
+    for line in ("h^-1 s2^2", "h s2^-2"):
+        t0 = time.perf_counter()
+        report, code = run_pipeline(line, canonical=True)
+        assert time.perf_counter() - t0 < 1.0, line
+        assert code == 1
+        assert report["verdict"]["verdict"] == VERDICT_INCONCLUSIVE
+        assert "index-2 subgroup" in report["verdict"]["justification"]
 
 
 def test_coset_table_word_oracle():
@@ -103,7 +172,7 @@ def test_positive_cone_infinite_cyclic():
 
 def test_positive_cone_on_trefoil_cover():
     g = closure_white_graph(expand_fulltwist(parse_braid("s2^3 s1")))
-    p = tietze_simplify(greene_presentation(g, kill_root=True))
+    p = tietze_simplify(greene_presentation(g))
     ct = todd_coxeter(p)
     assert ct.order == 3
     assert positive_cone_search(p, ct.is_trivial, depth=6) is not None

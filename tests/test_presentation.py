@@ -28,7 +28,7 @@ def parallel_graph(k, sign=1):
 
 def test_parallel_edges_give_cyclic_group():
     g = parallel_graph(5)
-    p = greene_presentation(g, kill_root=True)
+    p = greene_presentation(g)
     assert p.generators == ("v",)
     assert p.relators == (w("v") ** 5,)
     inv = abelianize(p)
@@ -37,17 +37,20 @@ def test_parallel_edges_give_cyclic_group():
 
 def test_single_vertex_trivial_group():
     g = CheckerboardGraph(("r",), (), {"r": ()}, "r")
-    p = greene_presentation(g, kill_root=True)
+    p = greene_presentation(g)
     assert p.generators == () and p.relators == ()
     assert abelianize(p).order() == 1
 
 
 def test_balanced_counts():
+    # the vertex relations have one global dependency: killing the root
+    # leaves as many relators as generators once the root relator goes
     g = cycle_graph_from_params(3, (1, 1, 1), (1, 1))
-    full = greene_presentation(g)
-    assert len(full.generators) == len(full.relators) - 1
-    killed = greene_presentation(g, kill_root=True)
+    killed = greene_presentation(g)
     assert len(killed.generators) == len(killed.relators)
+    kept = greene_presentation(g, keep_root_relator=True)
+    assert kept.generators == killed.generators
+    assert len(kept.relators) == len(killed.relators) + 1
 
 
 def test_cycle_presentation_example():
@@ -74,7 +77,7 @@ def test_cycle_matches_greene_structurally():
                 for b in itertools.product((1, 2), repeat=n):
                     d = DecoratedCycleGraph(m, a, b)
                     g = cycle_graph_from_params(m, a, b)
-                    p1 = greene_presentation(g, kill_root=True, keep_root_relator=True)
+                    p1 = greene_presentation(g, keep_root_relator=True)
                     p2 = kill_generator(cycle_presentation(d), "z")
                     assert relator_sets_equal(p1, p2), (m, a, b)
 
@@ -84,7 +87,7 @@ def test_abelianize_examples():
     assert abelianize(p).to_json() == {"torsion": [5], "rank": 0}
     # trefoil closure diagram
     g = closure_white_graph(expand_fulltwist(parse_braid("s2^3 s1")))
-    inv = abelianize(greene_presentation(g, kill_root=True))
+    inv = abelianize(greene_presentation(g))
     assert inv.torsion == (3,) and inv.rank == 0
     assert abs(goeritz_matrix(g).determinant()) == 3
     # cycle form vs Goeritz determinant of the same braid's graph
@@ -132,7 +135,7 @@ def test_tietze_preserves_abelianization():
 def test_torus_calibration():
     # Greene presentation of the k-parallel-edge two-vertex graph is Z/k
     for k in range(1, 13):
-        inv = abelianize(greene_presentation(parallel_graph(k), kill_root=True))
+        inv = abelianize(greene_presentation(parallel_graph(k)))
         assert inv.order() == k
         assert abs(goeritz_matrix(parallel_graph(k)).determinant()) == k
 
