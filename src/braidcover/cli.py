@@ -205,14 +205,13 @@ def _torsion_route(report, outcome, factors, det, inv):
             "notes": list(outcome.notes)}
     verdicts = []
     if len(factors) == 1:
-        verdicts.append(torsion_non_lo(inv, cyclic_known=True))
+        verdicts.append(torsion_non_lo(inv))
     else:
         # connected sum of two-bridge branch sets: each factor contributes a
         # finite cyclic free factor, so torsion in any factor obstructs
         for q in factors:
             verdicts.append(torsion_non_lo(
-                AbelianInvariants((abs(q),) if abs(q) > 1 else (), 0),
-                cyclic_known=True))
+                AbelianInvariants((abs(q),) if abs(q) > 1 else (), 0)))
     report["torsion_verdicts"] = [v.to_json() for v in verdicts]
     if all(v.kind == VERDICT_TORSION for v in verdicts):
         names = "#".join("T(2,%d)" % q for q in factors)

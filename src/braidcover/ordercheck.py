@@ -312,12 +312,8 @@ def _index2_kernel_relations(p, eps):
 # Torsion and positive-cone obstructions.
 # ---------------------------------------------------------------------------
 
-def torsion_non_lo(inv, cyclic_known):
+def torsion_non_lo(inv):
     """Torsion verdict for covers known to be lens spaces (cyclic groups)."""
-    if not cyclic_known:
-        return Verdict(VERDICT_INCONCLUSIVE,
-                       "abelianization alone does not obstruct orderability",
-                       machine_checked=False)
     if inv.rank:
         return Verdict(VERDICT_INCONCLUSIVE, "infinite first homology",
                        machine_checked=False)

@@ -6,8 +6,8 @@ by explicit generator elimination, the closed forms used to order-obstruct
 the cycle-form presentations: the x-path telescopes, the y-segment
 telescopes (forward and backward), the two-element expressions for the
 marked y-generators from either end of the cycle, and the global product
-relation.  Every verifier returns a transcript of (rule, target, relator
-used, resulting word) steps that can be replayed independently.
+relation.  Every derived word is compared against its closed form or
+against an elimination, and any mismatch raises RewriteError.
 """
 
 from __future__ import annotations
@@ -99,9 +99,6 @@ class FreeWord:
     def count(self, sym):
         return sum(1 for s, _ in self.letters if s == sym)
 
-    def exponent_sum(self, sym):
-        return sum(sg for s, sg in self.letters if s == sym)
-
     def substitute(self, mapping):
         """Replace each generator in `mapping` by its word; others stay atomic."""
         out = []
@@ -121,16 +118,11 @@ class FreeWord:
             j -= 1
         return self if i == 0 else FreeWord(w[i:j])
 
-    def rotations(self):
-        w = self.letters
-        return [FreeWord(w[i:] + w[:i]) for i in range(max(1, len(w)))]
-
     def canonical_cyclic(self):
         """Least rotation over the word and its inverse; relator identity key."""
-        cands = []
-        for w in (self.cyclic_reduce(), self.cyclic_reduce().inverse()):
-            cands.extend(r.letters for r in w.rotations())
-        return min(cands)
+        w = self.cyclic_reduce()
+        return min(r[i:] + r[:i] for r in (w.letters, w.inverse().letters)
+                   for i in range(max(1, len(r))))
 
     def __repr__(self):
         return "FreeWord(%s)" % (format_word(self),)
@@ -306,57 +298,10 @@ def cycle_relators(m, a, b):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ProofStep:
-    rule: str
-    target: str
-    using: str
-    word: FreeWord
-
-    def to_json(self):
-        return {"rule": self.rule, "target": self.target,
-                "using": self.using, "word": format_word(self.word, fold=False)}
-
-
-@dataclass
 class ProofTranscript:
+    """What a verifier proved: the lemma's name and the words it derived."""
     name: str
-    params: dict
-    steps: list = field(default_factory=list)
     results: dict = field(default_factory=dict)
-
-    def record(self, rule, target, using, word):
-        self.steps.append(ProofStep(rule, target, using, word))
-
-    def to_json(self):
-        return {"lemma": self.name, "params": self.params,
-                "steps": [s.to_json() for s in self.steps]}
-
-
-def replay_transcript(t):
-    """Re-run every recorded elimination from scratch; False on any mismatch.
-
-    Substitution steps are re-derived from the recorded relator text and the
-    accumulated definitions, so a corrupted step list cannot pass.
-    """
-    defs = {}
-    for step in t.steps:
-        if step.rule == "begin":
-            defs = {}
-        elif step.rule == "define":
-            defs[step.target] = step.word
-        elif step.rule == "solve":
-            rel = parse_word(step.using)
-            got = solve_relation(rel, step.target).substitute(defs)
-            if got != step.word:
-                return False
-            defs[step.target] = got
-        elif step.rule == "check":
-            lhs = parse_word(step.using).substitute(defs)
-            if lhs != step.word:
-                return False
-        else:
-            return False
-    return True
 
 
 def verify_lemma_x(m, cn=None):
@@ -369,11 +314,8 @@ def verify_lemma_x(m, cn=None):
     sym = (lambda i: x_sym(i, m, cn)) if cn is not None else \
         (lambda i: "x%d" % i)
     w = FreeWord.gen
-    t = ProofTranscript("x", {"m": m})
     x0, x1 = w(sym(0)), w(sym(1))
     known = {sym(0): x0, sym(1): x1}
-    t.record("define", sym(0), "", x0)
-    t.record("define", sym(1), "", x1)
     closed = {}
     for i in range(0, m + 1):
         closed[i] = (x1 * x0.inverse()) ** (i - 1) * x1
@@ -381,14 +323,11 @@ def verify_lemma_x(m, cn=None):
         raise RewriteError("closed form fails at the base cases")
     for i in range(1, m):
         # relator at x_i, solved for x_{i+1}
-        rel = _path_relator(sym, i)
-        expr = solve_relation(rel, sym(i + 1)).substitute(known)
+        expr = solve_relation(_path_relator(sym, i), sym(i + 1)).substitute(known)
         if expr != closed[i + 1]:
             raise RewriteError("lemma x fails at i=%d" % (i + 1))
         known[sym(i + 1)] = expr
-        t.record("solve", sym(i + 1), format_word(rel, fold=False), expr)
-    t.results = {sym(i): closed[i] for i in range(m + 1)}
-    return t
+    return ProofTranscript("x", {sym(i): closed[i] for i in range(m + 1)})
 
 
 def verify_lemma_y(a, b):
@@ -408,18 +347,15 @@ def verify_lemma_y(a, b):
         raise ValueError("need n >= 1")
     w = FreeWord.gen
     c = prefix_sums(b)
-    t = ProofTranscript("y", {"a": list(a), "b": list(b)})
     for k in range(1, n + 1):
         lo, hi = c[k - 1], c[k]
         A = w("y%d" % (lo + 1))
         ylo = w("y%d" % lo)
-        t.record("begin", "segment%d-forward" % k, "", FreeWord())
         fwd = {lo: ylo, lo + 1: A}
         for i in range(lo + 1, hi):
             expr = solve_relation(_unmarked_relator(i), "y%d" % (i + 1))
             expr = expr.substitute({"y%d" % i: fwd[i], "y%d" % (i - 1): fwd[i - 1]})
             fwd[i + 1] = expr
-            t.record("solve", "y%d" % (i + 1), format_word(_unmarked_relator(i), fold=False), expr)
         for i in range(lo, hi + 1):
             want = (A * ylo.inverse()) ** (i - lo - 1) * A
             if fwd[i] != want:
@@ -427,13 +363,10 @@ def verify_lemma_y(a, b):
         B = w("y%d" % (hi - 1))
         yhi = w("y%d" % hi)
         bwd = {hi: yhi, hi - 1: B}
-        back = []
         for i in range(hi - 1, lo, -1):
             expr = solve_relation(_unmarked_relator(i), "y%d" % (i - 1))
             expr = expr.substitute({"y%d" % i: bwd[i], "y%d" % (i + 1): bwd[i + 1]})
             bwd[i - 1] = expr
-            back.append(("y%d" % (i - 1),
-                         format_word(_unmarked_relator(i), fold=False), expr))
         for i in range(lo, hi + 1):
             want1 = (B * yhi.inverse()) ** (hi - i - 1) * B
             want2 = B * (yhi.inverse() * B) ** (hi - i - 1)
@@ -441,16 +374,12 @@ def verify_lemma_y(a, b):
                 raise RewriteError("backward form fails in segment %d at i=%d" % (k, i))
         # cross-check inside the forward block: the backward expressions,
         # with their base points rewritten forward, reproduce the forward
-        # forms; recorded so the replay repeats the substitution
+        # forms
         base = {"y%d" % (hi - 1): fwd[hi - 1], "y%d" % hi: fwd[hi]}
         for i in range(lo, hi + 1):
             if bwd[i].substitute(base) != fwd[i]:
                 raise RewriteError("forward/backward mismatch in segment %d at i=%d" % (k, i))
-            t.record("check", "y%d" % i, format_word(bwd[i], fold=False), fwd[i])
-        t.record("begin", "segment%d-backward" % k, "", FreeWord())
-        for target, using, expr in back:
-            t.record("solve", target, using, expr)
-    return t
+    return ProofTranscript("y")
 
 
 # The derivations below never use the relators of the x path, of y_cn, or
@@ -466,13 +395,12 @@ def right_x_symbol(m):
     return "x%d" % (m - 1) if m >= 2 else "x0"
 
 
-def _eliminate(name, m, a, b, first, end_x):
+def _eliminate(a, b, first, end_x):
     """Solve the arc relators in turn from the end y_first to the other end,
     leaving every y_i as a word in y_first and the formal symbol end_x."""
     cn = sum(b)
     idx_of = {ck: k for k, ck in enumerate(prefix_sums(b))}
     step = 1 if first == 0 else -1
-    t = ProofTranscript(name, {"m": m, "a": list(a), "b": list(b)})
     known = {}
     for i in range(first, cn - first, step):
         if i == first:
@@ -484,25 +412,24 @@ def _eliminate(name, m, a, b, first, end_x):
         target = "y%d" % (i + step)
         expr = solve_relation(r, target).substitute(known)
         known[target] = expr
-        t.record("solve", target, format_word(r, fold=False), expr)
-    t.results = dict(known)
-    t.results["y%d" % first] = FreeWord.gen("y%d" % first)
-    return t
+    known["y%d" % first] = FreeWord.gen("y%d" % first)
+    return known
 
 
 def left_elimination(m, a, b):
     """Ground truth: every y_i as a reduced word in y0 and the formal x1.
 
     Solves r(y0) for y1, then walks the positive arc upward through the
-    unmarked and interior marked relators.  Transcript steps are recorded on
-    the returned ProofTranscript.
+    unmarked and interior marked relators; the results map each y_i to its
+    word.
     """
-    return _eliminate("left-elimination", m, a, b, 0, LEFT_X)
+    return ProofTranscript("left-elimination", _eliminate(a, b, 0, LEFT_X))
 
 
 def right_elimination(m, a, b):
     """Ground truth from the other end: y_i over y_cn and the formal x_{m-1}."""
-    return _eliminate("right-elimination", m, a, b, sum(b), right_x_symbol(m))
+    return ProofTranscript("right-elimination",
+                           _eliminate(a, b, sum(b), right_x_symbol(m)))
 
 
 # Marker symbols for the two-element alphabets of the end lemmas.
@@ -543,9 +470,9 @@ def verify_lemma_left(d):
     """Positive words in {y0, x1 y0^(a0-1)} for every marked y, validated
     letter-for-letter against the left elimination.
 
-    Returns (transcript, words) where words[k] is the expression for y_{c_k}
-    over the marker alphabet {y0, qL}; the transcript's results are the
-    left elimination's words for every y_i.
+    Returns (elimination, words) where words[k] is the expression for
+    y_{c_k} over the marker alphabet {y0, qL}, and elimination is the
+    left_elimination the words were checked against.
     """
     m, a, b = d.m, list(d.a), list(d.b)
     n = len(b)
@@ -555,9 +482,6 @@ def verify_lemma_left(d):
     elim = left_elimination(m, a, b)
     alpha = left_alphabet(a)
     expand = lambda w: w.substitute(alpha)
-    t = ProofTranscript("left", {"m": m, "a": a, "b": b})
-    t.record("define", QL, "", alpha[QL])
-    t.steps.extend(elim.steps)
     w = FreeWord.gen
     words = {0: w("y0")}
     # S_k represents y_{c_k + 1} y_{c_k}^-1 over the alphabet
@@ -566,7 +490,6 @@ def verify_lemma_left(d):
     want = (elim.results["y%d" % (c[0] + 1)] * elim.results["y0"].inverse())
     if got != want:
         raise RewriteError("base step y1 y0^-1 fails")
-    t.record("check", "y1 y0^-1", QL, got)
     for k in range(1, n + 1):
         # y_{c_k} = (y_{c_{k-1}+1} y_{c_{k-1}}^-1)^{b_k} y_{c_{k-1}}
         words[k] = S ** b[k - 1] * words[k - 1]
@@ -575,24 +498,21 @@ def verify_lemma_left(d):
             raise RewriteError("left word fails at k=%d" % k)
         if not words[k].is_positive():
             raise RewriteError("left word not positive at k=%d" % k)
-        t.record("check", "y%d" % c[k], format_word(words[k], fold=False), got)
         if k < n:
             S = S * words[k] ** a[k]
             got = expand(S)
             want = elim.results["y%d" % (c[k] + 1)] * elim.results["y%d" % c[k]].inverse()
             if got != want:
                 raise RewriteError("left difference fails at k=%d" % k)
-            t.record("check", "y%d y%d^-1" % (c[k] + 1, c[k]),
-                     format_word(S, fold=False), got)
-    t.results = elim.results
-    return t, [words[k] for k in range(n + 1)]
+    return elim, [words[k] for k in range(n + 1)]
 
 
 def verify_lemma_right(d):
     """Mirror of the left lemma: positive words in {y_cn, y_cn^(an-1) x_{m-1}}.
 
-    Validated against the right elimination, independently of the mirror
-    construction used to produce the words.
+    The words come from right_words, the recursion the certificate builder
+    also uses; they are validated against right_elimination, which solves
+    the arc relators on its own.  Returns (elimination, words).
     """
     m, a, b = d.m, list(d.a), list(d.b)
     n = len(b)
@@ -602,31 +522,24 @@ def verify_lemma_right(d):
     elim = right_elimination(m, a, b)
     alpha = right_alphabet(m, a, cn)
     expand = lambda w: w.substitute(alpha)
-    t = ProofTranscript("right", {"m": m, "a": a, "b": b})
-    t.record("define", QR, "", alpha[QR])
-    t.steps.extend(elim.steps)
     words, diffs = right_words(a, b)
     ycn = "y%d" % cn
     got = expand(diffs[n])
     want = elim.results[ycn].inverse() * elim.results["y%d" % (cn - 1)]
     if got != want:
         raise RewriteError("base step y_cn^-1 y_{cn-1} fails")
-    t.record("check", "%s^-1 y%d" % (ycn, cn - 1), QR, got)
     for k in range(n - 1, -1, -1):
         got = expand(words[k])
         if got != elim.results["y%d" % c[k]]:
             raise RewriteError("right word fails at k=%d" % k)
         if not words[k].is_positive():
             raise RewriteError("right word not positive at k=%d" % k)
-        t.record("check", "y%d" % c[k], format_word(words[k], fold=False), got)
         if k > 0:
             got = expand(diffs[k])
             want = elim.results["y%d" % c[k]].inverse() * elim.results["y%d" % (c[k] - 1)]
             if got != want:
                 raise RewriteError("right difference fails at k=%d" % k)
-            t.record("check", "y%d^-1 y%d" % (c[k], c[k] - 1),
-                     format_word(diffs[k], fold=False), got)
-    return t, words
+    return elim, words
 
 
 def verify_product_relation(d):
@@ -638,10 +551,10 @@ def verify_product_relation(d):
     root_relator, the helper cycle_relators uses for z_rel.  The results
     hold the product and the left words.
     """
-    m, a, b = d.m, list(d.a), list(d.b)
+    a, b = list(d.a), list(d.b)
     if len(b) < 1:
         raise ValueError("degenerate cycle: n = 0")
-    t, yw = verify_lemma_left(d)
+    elim, yw = verify_lemma_left(d)
     alpha = left_alphabet(a)
     product = FreeWord([x for wk, ak in zip(yw, a) for x in (wk ** ak).letters])
     if not product.is_positive() or product.is_identity():
@@ -649,11 +562,7 @@ def verify_product_relation(d):
     if product.count("y0") == 0:
         raise RewriteError("product word must mention y0")
     lhs = product.substitute(alpha)
-    rhs = root_relator(a, b).inverse().substitute(t.results)
+    rhs = root_relator(a, b).inverse().substitute(elim.results)
     if lhs != rhs:
         raise RewriteError("product does not match the root relation")
-    out = ProofTranscript("product", {"m": m, "a": a, "b": b})
-    out.steps = list(t.steps)
-    out.record("check", "w0...wn", format_word(product, fold=False), lhs)
-    out.results = {"product": product, "expanded": lhs, "words": yw}
-    return out
+    return ProofTranscript("product", {"product": product, "words": yw})

@@ -8,7 +8,9 @@ import pytest
 import braidcover
 from braidcover.braid import expand_fulltwist, parse_braid
 from braidcover.cli import main, run_pipeline, run_batch, PipelineFailure
-from braidcover.diagram import closure_white_graph, graph_dot
+from braidcover.diagram import DecoratedCycleGraph, closure_white_graph, graph_dot
+from braidcover.ordercheck import certify_cycle_non_lo, verify_certificate
+from braidcover.presentation import cycle_presentation
 
 # the child process imports the same braidcover as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(braidcover.__file__)))
@@ -165,6 +167,17 @@ def test_batch_verifies_each_certificate_once(monkeypatch):
             got = got["verdict"]
         assert got == verdict, line
         assert calls == dict(dict.fromkeys(COUNTED, 0), **want), (line, calls)
+
+
+def test_certificate_check_formats_no_words(monkeypatch):
+    # a passing check compares words; it prints none of them
+    for params in [(3, (2, 1, 2), (1, 2)), (1, (3, 4), (1,))]:
+        d = DecoratedCycleGraph(*params)
+        cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+        calls = count_calls(monkeypatch, ("format_word",))
+        assert verify_certificate(cert, pres) == (True, [])
+        assert calls == {"format_word": 0}, params
+        monkeypatch.undo()
 
 
 DOT_COUNTED = ("parse_braid", "expand_fulltwist", "closure_white_graph")

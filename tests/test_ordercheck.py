@@ -179,10 +179,9 @@ def test_positive_cone_on_trefoil_cover():
 
 
 def test_torsion_verdicts():
-    assert torsion_non_lo(AbelianInvariants((5,), 0), True).kind == VERDICT_TORSION
-    assert torsion_non_lo(AbelianInvariants((), 1), True).kind == VERDICT_INCONCLUSIVE
-    assert torsion_non_lo(AbelianInvariants((4,), 0), False).kind == VERDICT_INCONCLUSIVE
-    v = torsion_non_lo(AbelianInvariants((), 0), True)
+    assert torsion_non_lo(AbelianInvariants((5,), 0)).kind == VERDICT_TORSION
+    assert torsion_non_lo(AbelianInvariants((), 1)).kind == VERDICT_INCONCLUSIVE
+    v = torsion_non_lo(AbelianInvariants((), 0))
     assert v.kind == VERDICT_TORSION and "convention" in v.justification
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ from braidcover.rewrite import (FreeWord, RewriteError,
                                 format_word, parse_word, solve_relation,
                                 cycle_relators, verify_lemma_x, verify_lemma_y,
                                 verify_lemma_left, verify_lemma_right,
-                                verify_product_relation, replay_transcript,
+                                verify_product_relation,
                                 left_elimination, right_elimination,
                                 left_alphabet)
 from braidcover.diagram import DecoratedCycleGraph
@@ -50,6 +51,15 @@ def test_cyclic_reduce_and_canonical():
     r2 = parse_word("b c a")
     r3 = r1.inverse()
     assert r1.canonical_cyclic() == r2.canonical_cyclic() == r3.canonical_cyclic()
+    assert parse_word("a b").canonical_cyclic() != parse_word("a b^-1").canonical_cyclic()
+    rng = random.Random(5)
+    for _ in range(200):
+        u = FreeWord([(rng.choice("abc"), rng.choice((1, -1)))
+                      for _ in range(rng.randint(0, 10))])
+        key = u.canonical_cyclic()
+        for i in range(max(1, len(u))):
+            assert FreeWord(u.letters[i:] + u.letters[:i]).canonical_cyclic() == key
+        assert u.inverse().canonical_cyclic() == key
 
 
 def test_format_and_parse_roundtrip():
@@ -92,14 +102,6 @@ def test_lemma_x_closed_form():
         verify_lemma_x(m)
 
 
-def test_lemma_x_transcript_replays():
-    t = verify_lemma_x(6)
-    assert replay_transcript(t)
-    # corrupt a step: replay must fail
-    t.steps[2].word = t.steps[2].word * w("x1")
-    assert not replay_transcript(t)
-
-
 def test_lemma_y_degenerate_segment():
     # b_k = 1 collapses to y_{c_k} = y_{c_{k-1}+1}
     verify_lemma_y((1, 1), (1,))
@@ -116,12 +118,9 @@ def test_lemma_y_forward_backward_agreement():
 
 def test_lemma_left_examples():
     d = DecoratedCycleGraph(1, (2, 2), (1,))
-    t, words = verify_lemma_left(d)
+    _, words = verify_lemma_left(d)
     assert [format_word(v, fold=False) for v in words] == ["y0", "qL y0"]
     assert all(v.is_positive() for v in words)
-    # y1 y0^-1 = x1 y0^(a0-1) is the first recorded check
-    checks = [s for s in t.steps if s.rule == "check"]
-    assert checks[0].target == "y1 y0^-1"
 
 
 def test_lemma_left_k0_trivial():
@@ -156,12 +155,6 @@ def test_elimination_is_acyclic():
     er = right_elimination(d.m, d.a, d.b)
     for sym, word in er.results.items():
         assert word.symbols() <= {"y%d" % d.cn, "x%d" % (d.m - 1)}
-
-
-def test_eliminations_replay():
-    d = DecoratedCycleGraph(2, (2, 1, 2), (2, 1))
-    assert replay_transcript(left_elimination(d.m, d.a, d.b))
-    assert replay_transcript(right_elimination(d.m, d.a, d.b))
 
 
 def test_left_and_right_words_expand_to_same_element():
@@ -202,22 +195,14 @@ def test_cycle_relators_shapes():
     assert rel["y1"] == parse_word("y0^-1 y1 y1 y2^-1 y1")
 
 
-def test_all_verify_transcripts_replay():
+def test_all_verifiers_pass():
     d = DecoratedCycleGraph(3, (2, 1, 2), (1, 2))
-    assert replay_transcript(verify_lemma_x(d.m, d.cn))
-    assert replay_transcript(verify_lemma_y(d.a, d.b))
-    assert replay_transcript(verify_lemma_left(d)[0])
-    assert replay_transcript(verify_lemma_right(d)[0])
-    assert replay_transcript(verify_product_relation(d))
+    verify_lemma_x(d.m, d.cn)
+    verify_lemma_y(d.a, d.b)
+    verify_lemma_left(d)
+    verify_lemma_right(d)
+    verify_product_relation(d)
     d = DecoratedCycleGraph(1, (2, 2), (1,))
-    assert replay_transcript(verify_lemma_left(d)[0])
-    assert replay_transcript(verify_lemma_right(d)[0])
-    assert replay_transcript(verify_product_relation(d))
-
-
-def test_transcript_json_schema():
-    d = DecoratedCycleGraph(2, (1, 2), (1,))
-    blob = verify_product_relation(d).to_json()
-    assert blob["lemma"] == "product"
-    for step in blob["steps"]:
-        assert set(step) == {"rule", "target", "using", "word"}
+    verify_lemma_left(d)
+    verify_lemma_right(d)
+    verify_product_relation(d)
