@@ -2,7 +2,7 @@
 presentations, and machine-checked non-left-orderability certificates."""
 
 from .braid import (BraidWord, parse_braid, format_braid, expand_fulltwist,
-                    cyclic_conjugate, exponent_sum, mirror, classify_baldwin,
+                    exponent_sum, mirror, classify_baldwin,
                     normalize_type1_d1, normalize_type1_dm1, replay_moves)
 from .diagram import (CheckerboardGraph, DecoratedCycleGraph,
                       closure_white_graph, cycle_graph_from_params,

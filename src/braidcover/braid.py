@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .rewrite import reduce_letters, run_lengths
+
 
 class BraidError(Exception):
     pass
@@ -22,6 +24,7 @@ class NormalizationError(BraidError):
 
 
 MAX_LETTERS = 10 ** 6   # longest word parse_braid expands, each h six letters
+MAX_TWIST_STATES = 4096  # search states twist_search lists before it stops
 
 # letters are (generator, sign) with generator 1 or 2 and sign +1/-1
 S1, S1I, S2, S2I = (1, 1), (1, -1), (2, 1), (2, -1)
@@ -32,16 +35,6 @@ TWIST_POS = (
     (S1, S2, S1, S2, S1, S2),   # (s1 s2)^3
 )
 TWIST_NEG = tuple(tuple((g, -s) for g, s in reversed(p)) for p in TWIST_POS)
-
-
-def reduce_letters(letters):
-    out = []
-    for g, s in letters:
-        if out and out[-1][0] == g and out[-1][1] == -s:
-            out.pop()
-        else:
-            out.append((g, s))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ def format_braid(w):
         parts.append("h")
     elif w.fulltwist:
         parts.append("h^%d" % w.fulltwist)
-    parts += ["s%d" % g if e == 1 else "s%d^%d" % (g, e) for g, e in _runs(w.letters)]
+    parts += ["s%d" % g if e == 1 else "s%d^%d" % (g, e) for g, e in run_lengths(w.letters)]
     return " ".join(parts) if parts else "1"
 
 
@@ -108,13 +101,6 @@ def expand_fulltwist(w):
     d = w.fulltwist
     block = TWIST_POS[0] if d >= 0 else TWIST_NEG[0]
     return BraidWord(block * abs(d) + w.letters, 0)
-
-
-def cyclic_conjugate(w, k):
-    if not 0 <= k <= len(w.letters):
-        raise BraidError("rotation out of range")
-    ls = w.letters
-    return BraidWord(ls[k:] + ls[:k], w.fulltwist)
 
 
 def exponent_sum(w):
@@ -180,7 +166,7 @@ def _find_twists(letters):
                     yield i, sign
 
 
-def twist_search(letters, cap=4096):
+def twist_search(letters):
     """Reachable (letters, dd, moves) states under cyclic cancellation and
     twist extraction, breadth first.
 
@@ -193,7 +179,7 @@ def twist_search(letters, cap=4096):
     states = [(start, 0, ())]
     seen = {(start, 0)}
     i = 0
-    while i < len(states) and len(states) < cap:
+    while i < len(states) and len(states) < MAX_TWIST_STATES:
         cur, dd, moves = states[i]
         i += 1
         succs = []
@@ -211,17 +197,6 @@ def twist_search(letters, cap=4096):
                 seen.add(key)
                 states.append(nxt)
     return states
-
-
-def _runs(letters):
-    """Run-length encoding [(gen, signed length), ...] of a letter list."""
-    runs = []
-    for g, s in letters:
-        if runs and runs[-1][0] == g and runs[-1][1] * s > 0:
-            runs[-1][1] += s
-        else:
-            runs.append([g, s])
-    return [(g, e) for g, e in runs]
 
 
 def _type1_units(letters):
@@ -459,7 +434,7 @@ def _prepare_type1(w, want_d):
 
 def _cyclic_runs(letters):
     """Run-length encoding of the cyclic word (seam runs merged)."""
-    runs = _runs(letters)
+    runs = run_lengths(letters)
     if len(runs) >= 2 and runs[0][0] == runs[-1][0] and runs[0][1] * runs[-1][1] > 0:
         runs = runs[1:-1] + [(runs[0][0], runs[0][1] + runs[-1][1])]
     return runs
@@ -588,13 +563,3 @@ def normalize_type1_dm1(w):
             raise NormalizationError("d=-1 cycle form must have m=1, a0 > 1, an > 1")
     return out
 
-
-def normalize_type1(w):
-    c = classify_baldwin(w)
-    if c.kind != 1:
-        raise NormalizationError("not a family (1) braid")
-    if c.d == 1:
-        return normalize_type1_d1(w)
-    if c.d == -1:
-        return normalize_type1_dm1(w)
-    raise NormalizationError("d = 0 braids are alternating; nothing to normalize")

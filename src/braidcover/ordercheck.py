@@ -75,13 +75,6 @@ class CosetTable:
             raise SoundnessError("incomplete table cannot decide the word problem")
         return self.trace(0, word) == 0
 
-    def dump(self):
-        head = "coset " + " ".join("%4s %4s^-1" % (g, g) for g in self.generators)
-        lines = [head]
-        for i, row in enumerate(self.table):
-            lines.append("%5d " % i + " ".join("%4d" % x for x in row))
-        return "\n".join(lines) + "\n"
-
 
 def todd_coxeter(p, max_cosets=10 ** 6):
     """Enumerate cosets of the trivial subgroup; deterministic HLT strategy.
@@ -337,14 +330,14 @@ class PositiveConeWitness:
                                 for key, w in self.derivations.items()}}
 
 
-def positive_cone_search(p, oracle, depth=8, gens=None):
+def positive_cone_search(p, oracle, depth=8):
     """Breadth-first closure of each signed generator semigroup.
 
     Returns a PositiveConeWitness when every sign assignment produces a
     nonempty product equal to the identity within `depth`; None otherwise
     (inconclusive).  `oracle` decides triviality of words.
     """
-    gens = tuple(gens if gens is not None else p.generators)
+    gens = tuple(p.generators)
     derivations = {}
     for signs in itertools.product((1, -1), repeat=len(gens)):
         found = None

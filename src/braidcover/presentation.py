@@ -46,23 +46,25 @@ class GroupPresentation:
 def greene_presentation(g, keep_root_relator=False):
     """Presentation of the branched double cover group from a white graph.
 
-    The root generator is substituted away.  The root vertex relator is
-    then redundant (the vertex relations have one global dependency) and
-    dropped unless keep_root_relator is set.
+    The root generator is killed: its letters are left out of every
+    relator, which is then freely reduced once.  The root vertex relator is
+    redundant (the vertex relations have one global dependency) and is
+    built only when keep_root_relator is set.
     """
-    relators = []
+    rels = []
     for v in g.vertices:
-        w = FreeWord()
+        if v == g.root and not keep_root_relator:
+            continue
+        letters = []
         for i, end in g.rotations[v]:
             a, b, s = g.edges[i]
             other = b if end == 0 else a
-            w = w * (FreeWord.gen(other).inverse() * FreeWord.gen(v)) ** s
-        relators.append((v, w))
-    sub = {g.root: FreeWord()}
-    rels = tuple(w.substitute(sub) for v, w in relators
-                 if v != g.root or keep_root_relator)
+            # (other^-1 v)^s
+            pair = ((other, -1), (v, 1)) if s > 0 else ((v, -1), (other, 1))
+            letters.extend(pair * abs(s))
+        rels.append(FreeWord([x for x in letters if x[0] != g.root]))
     gens = tuple(v for v in g.vertices if v != g.root)
-    return GroupPresentation(gens, rels)
+    return GroupPresentation(gens, tuple(rels))
 
 
 def cycle_presentation(d):

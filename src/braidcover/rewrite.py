@@ -4,10 +4,12 @@ Words live in the free group on named generators and are always stored
 freely reduced.  The verifiers in the second half of this module rebuild,
 by explicit generator elimination, the closed forms used to order-obstruct
 the cycle-form presentations: the x-path telescopes, the y-segment
-telescopes (forward and backward), the two-element expressions for the
-marked y-generators from either end of the cycle, and the global product
-relation.  Every derived word is compared against its closed form or
-against an elimination, and any mismatch raises RewriteError.
+telescopes (forward and backward), and the two-element expressions for the
+marked y-generators from either end of the cycle.  Every derived word is
+compared against its closed form or against an elimination, and any
+mismatch raises RewriteError.  The global product relation is not expanded
+again: it follows from the checked left words, because expansion is a
+homomorphism.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ class RewriteError(Exception):
     pass
 
 
-def _reduce(letters):
+def reduce_letters(letters):
+    """Free reduction of (generator, +1/-1) letters, as a tuple."""
     out = []
     for sym, sign in letters:
         if out and out[-1][0] == sym and out[-1][1] == -sign:
@@ -29,13 +32,24 @@ def _reduce(letters):
     return tuple(out)
 
 
+def run_lengths(letters):
+    """Run-length encoding [(generator, signed length), ...] of letters."""
+    out = []
+    for sym, sign in letters:
+        if out and out[-1][0] == sym and out[-1][1] * sign > 0:
+            out[-1][1] += sign
+        else:
+            out.append([sym, sign])
+    return [(s, e) for s, e in out]
+
+
 class FreeWord:
     """A freely reduced word; letters are (generator name, +1/-1) pairs."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
-        self.letters = _reduce(letters)
+        self.letters = reduce_letters(letters)
 
     @staticmethod
     def gen(sym, exp=1):
@@ -54,13 +68,7 @@ class FreeWord:
 
     def pairs(self):
         """Run-length encode back to [(sym, exp), ...]."""
-        out = []
-        for sym, sign in self.letters:
-            if out and out[-1][0] == sym and out[-1][1] * sign > 0:
-                out[-1][1] += sign
-            else:
-                out.append([sym, sign])
-        return [(s, e) for s, e in out]
+        return run_lengths(self.letters)
 
     def __mul__(self, other):
         return FreeWord(self.letters + other.letters)
@@ -448,6 +456,23 @@ def right_alphabet(m, a, cn):
                 * FreeWord.gen(right_x_symbol(m))}
 
 
+def left_words(a, b):
+    """The left lemma's recursion over the alphabet {y0, qL}.
+
+    Returns (words, diffs): words[k] stands for y_{c_k}, and diffs[k] for
+    y_{c_k + 1} y_{c_k}^-1 (k < n).
+    """
+    n = len(b)
+    words = [FreeWord.gen("y0")] + [None] * n
+    diffs = [FreeWord.gen(QL)] + [None] * n
+    for k in range(1, n + 1):
+        # y_{c_k} = (y_{c_{k-1}+1} y_{c_{k-1}}^-1)^{b_k} y_{c_{k-1}}
+        words[k] = diffs[k - 1] ** b[k - 1] * words[k - 1]
+        if k < n:
+            diffs[k] = diffs[k - 1] * words[k] ** a[k]
+    return words, diffs
+
+
 def right_words(a, b):
     """The right lemma's recursion over the alphabet {y_cn, qR}, shared by
     the certificate builder and its check.
@@ -466,6 +491,34 @@ def right_words(a, b):
     return words, diffs
 
 
+def _verify_end_lemma(d, side, eliminate, recurse, alpha):
+    """Check one end lemma: expand the words of `recurse` through `alpha`
+    and compare them with `eliminate`, which solves the arc relators from
+    the same end.  words[k] must give y_{c_k} and be positive, and diffs[k]
+    the difference of y_{c_k} with its neighbour toward the other end.
+    Returns (elimination, words)."""
+    a, b = list(d.a), list(d.b)
+    if len(b) < 1:
+        raise ValueError("need n >= 1")
+    elim = eliminate(d.m, a, b)
+    y = lambda i: elim.results["y%d" % i]
+    words, diffs = recurse(a, b)
+    c = d.c
+    for k, word in enumerate(words):
+        if word.substitute(alpha) != y(c[k]):
+            raise RewriteError("%s word fails at k=%d" % (side, k))
+        if not word.is_positive():
+            raise RewriteError("%s word not positive at k=%d" % (side, k))
+    for k, diff in enumerate(diffs):
+        if diff is None:
+            continue
+        want = y(c[k] + 1) * y(c[k]).inverse() if side == "left" \
+            else y(c[k]).inverse() * y(c[k] - 1)
+        if diff.substitute(alpha) != want:
+            raise RewriteError("%s difference fails at k=%d" % (side, k))
+    return elim, words
+
+
 def verify_lemma_left(d):
     """Positive words in {y0, x1 y0^(a0-1)} for every marked y, validated
     letter-for-letter against the left elimination.
@@ -474,37 +527,8 @@ def verify_lemma_left(d):
     y_{c_k} over the marker alphabet {y0, qL}, and elimination is the
     left_elimination the words were checked against.
     """
-    m, a, b = d.m, list(d.a), list(d.b)
-    n = len(b)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    c = d.c
-    elim = left_elimination(m, a, b)
-    alpha = left_alphabet(a)
-    expand = lambda w: w.substitute(alpha)
-    w = FreeWord.gen
-    words = {0: w("y0")}
-    # S_k represents y_{c_k + 1} y_{c_k}^-1 over the alphabet
-    S = w(QL)
-    got = expand(S)
-    want = (elim.results["y%d" % (c[0] + 1)] * elim.results["y0"].inverse())
-    if got != want:
-        raise RewriteError("base step y1 y0^-1 fails")
-    for k in range(1, n + 1):
-        # y_{c_k} = (y_{c_{k-1}+1} y_{c_{k-1}}^-1)^{b_k} y_{c_{k-1}}
-        words[k] = S ** b[k - 1] * words[k - 1]
-        got = expand(words[k])
-        if got != elim.results["y%d" % c[k]]:
-            raise RewriteError("left word fails at k=%d" % k)
-        if not words[k].is_positive():
-            raise RewriteError("left word not positive at k=%d" % k)
-        if k < n:
-            S = S * words[k] ** a[k]
-            got = expand(S)
-            want = elim.results["y%d" % (c[k] + 1)] * elim.results["y%d" % c[k]].inverse()
-            if got != want:
-                raise RewriteError("left difference fails at k=%d" % k)
-    return elim, [words[k] for k in range(n + 1)]
+    return _verify_end_lemma(d, "left", left_elimination, left_words,
+                             left_alphabet(d.a))
 
 
 def verify_lemma_right(d):
@@ -514,55 +538,26 @@ def verify_lemma_right(d):
     also uses; they are validated against right_elimination, which solves
     the arc relators on its own.  Returns (elimination, words).
     """
-    m, a, b = d.m, list(d.a), list(d.b)
-    n = len(b)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    cn, c = d.cn, d.c
-    elim = right_elimination(m, a, b)
-    alpha = right_alphabet(m, a, cn)
-    expand = lambda w: w.substitute(alpha)
-    words, diffs = right_words(a, b)
-    ycn = "y%d" % cn
-    got = expand(diffs[n])
-    want = elim.results[ycn].inverse() * elim.results["y%d" % (cn - 1)]
-    if got != want:
-        raise RewriteError("base step y_cn^-1 y_{cn-1} fails")
-    for k in range(n - 1, -1, -1):
-        got = expand(words[k])
-        if got != elim.results["y%d" % c[k]]:
-            raise RewriteError("right word fails at k=%d" % k)
-        if not words[k].is_positive():
-            raise RewriteError("right word not positive at k=%d" % k)
-        if k > 0:
-            got = expand(diffs[k])
-            want = elim.results["y%d" % c[k]].inverse() * elim.results["y%d" % (c[k] - 1)]
-            if got != want:
-                raise RewriteError("right difference fails at k=%d" % k)
-    return elim, words
+    return _verify_end_lemma(d, "right", right_elimination, right_words,
+                             right_alphabet(d.m, d.a, d.cn))
 
 
 def verify_product_relation(d):
-    """w_0 w_1 ... w_n = 1 where w_k expresses y_{c_k}^{a_k} over {y0, qL}.
+    """w_0^a0 w_1^a1 ... w_n^an = 1, where w_k expresses y_{c_k} over {y0, qL}.
 
-    The product, expanded through the left elimination of its own
-    verify_lemma_left call, must coincide with the eliminated image of the
-    inverted root relator y0^a0 y_{c_1}^a1 ... y_{c_n}^an, taken from
-    root_relator, the helper cycle_relators uses for z_rel.  The results
-    hold the product and the left words.
+    Derived from the checked word identities, not expanded again: w_0 = y0,
+    and verify_lemma_left checked that each w_k expands to the left
+    elimination of y_{c_k}.  Expansion is a homomorphism, so the product
+    expands to the eliminated image of root_relator(a, b)^-1, the inverted
+    z_rel, which is 1 in the group.  Left to check is the shape the
+    certificate needs: a nonempty positive word that mentions y0.  The
+    results hold the product and the left words.  A cycle with n = 0
+    raises ValueError from verify_lemma_left.
     """
-    a, b = list(d.a), list(d.b)
-    if len(b) < 1:
-        raise ValueError("degenerate cycle: n = 0")
-    elim, yw = verify_lemma_left(d)
-    alpha = left_alphabet(a)
-    product = FreeWord([x for wk, ak in zip(yw, a) for x in (wk ** ak).letters])
+    _, yw = verify_lemma_left(d)
+    product = FreeWord([x for wk, ak in zip(yw, d.a) for x in (wk ** ak).letters])
     if not product.is_positive() or product.is_identity():
         raise RewriteError("product word must be a nonempty positive word")
     if product.count("y0") == 0:
         raise RewriteError("product word must mention y0")
-    lhs = product.substitute(alpha)
-    rhs = root_relator(a, b).inverse().substitute(elim.results)
-    if lhs != rhs:
-        raise RewriteError("product does not match the root relation")
     return ProofTranscript("product", {"product": product, "words": yw})

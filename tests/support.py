@@ -1,8 +1,12 @@
-"""Helpers only the tests use: graph isomorphism, presentation edits and
-a determinant oracle."""
+"""Helpers only the tests use: graph isomorphism, presentation edits, a
+determinant oracle, braid rotation, the family (1) normalizer dispatch and
+a coset table printout."""
 
 import itertools
 
+from braidcover.braid import (BraidError, BraidWord, NormalizationError,
+                              classify_baldwin, normalize_type1_d1,
+                              normalize_type1_dm1)
 from braidcover.presentation import GroupPresentation
 from braidcover.rewrite import FreeWord
 
@@ -85,3 +89,32 @@ def leibniz_det(m):
             term *= m[i][perm[i]]
         total += term
     return total
+
+
+def cyclic_conjugate(w, k):
+    """Rotate the letters of w left by k, keeping its full-twist power."""
+    if not 0 <= k <= len(w.letters):
+        raise BraidError("rotation out of range")
+    ls = w.letters
+    return BraidWord(ls[k:] + ls[:k], w.fulltwist)
+
+
+def normalize_type1(w):
+    """Normalize a family (1) braid with the normalizer for its d."""
+    c = classify_baldwin(w)
+    if c.kind != 1:
+        raise NormalizationError("not a family (1) braid")
+    if c.d == 1:
+        return normalize_type1_d1(w)
+    if c.d == -1:
+        return normalize_type1_dm1(w)
+    raise NormalizationError("d = 0 braids are alternating; nothing to normalize")
+
+
+def dump_coset_table(table):
+    """The rows of a CosetTable as fixed-width text, one coset a line."""
+    head = "coset " + " ".join("%4s %4s^-1" % (g, g) for g in table.generators)
+    lines = [head]
+    for i, row in enumerate(table.table):
+        lines.append("%5d " % i + " ".join("%4d" % x for x in row))
+    return "\n".join(lines) + "\n"

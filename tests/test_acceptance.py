@@ -12,8 +12,7 @@ import random
 import time
 
 from braidcover.braid import (parse_braid, expand_fulltwist, exponent_sum,
-                              normalize_type1, replay_moves,
-                              words_cyclically_equal)
+                              replay_moves, words_cyclically_equal)
 from braidcover.diagram import (DecoratedCycleGraph, closure_white_graph,
                                 goeritz_matrix)
 from braidcover.presentation import (GroupPresentation, greene_presentation,
@@ -25,6 +24,7 @@ from braidcover.rewrite import (FreeWord, verify_lemma_x, verify_lemma_y,
 from braidcover.ordercheck import (certify_cycle_non_lo,
                                    verify_certificate, todd_coxeter,
                                    positive_cone_search)
+from support import normalize_type1
 from test_presentation import parallel_graph
 
 w = FreeWord.gen

@@ -4,13 +4,14 @@ import pytest
 
 from braidcover.braid import (BraidError, BraidWord, NormalizationError,
                               parse_braid, format_braid, expand_fulltwist,
-                              cyclic_conjugate, exponent_sum, mirror,
+                              exponent_sum, mirror,
                               classify_baldwin, normalize_type1_d1,
-                              normalize_type1_dm1, normalize_type1,
+                              normalize_type1_dm1,
                               replay_moves, words_cyclically_equal,
                               MAX_LETTERS, S1, S1I, S2, S2I)
 
 from b3oracle import braids_equal, conjugacy_invariants
+from support import cyclic_conjugate, normalize_type1
 
 
 def test_parse_examples():
@@ -312,7 +313,6 @@ def test_normalizers_preserve_determinant_wide():
     # beyond the acceptance grid: exponents up to 5, n up to 5, checked
     # against the representation-theoretic determinant of both sides
     import itertools
-    from braidcover.braid import normalize_type1
     from b3oracle import burau_determinant
     rng = random.Random(43)
     for trial in range(120):

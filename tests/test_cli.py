@@ -136,8 +136,10 @@ def count_calls(monkeypatch, names):
     return calls
 
 
+# right_words runs in the certificate builder and in its check
 CERTIFIED = {"verify_certificate": 1, "verify_lemma_left": 1, "left_elimination": 1,
-             "verify_lemma_right": 1, "verify_product_relation": 1}
+             "verify_lemma_right": 1, "verify_product_relation": 1,
+             "left_words": 1, "right_words": 2}
 FAMILY1 = dict(CERTIFIED, twist_search=2, classify_baldwin=2, expand_fulltwist=2,
                greene_presentation=1, cycle_relators=2)
 FINITE = {"twist_search": 1, "classify_baldwin": 1, "expand_fulltwist": 1,

@@ -3,14 +3,17 @@ import random
 
 import pytest
 
+from braidcover import rewrite
 from braidcover.rewrite import (FreeWord, RewriteError,
                                 format_word, parse_word, solve_relation,
                                 cycle_relators, verify_lemma_x, verify_lemma_y,
                                 verify_lemma_left, verify_lemma_right,
                                 verify_product_relation,
                                 left_elimination, right_elimination,
-                                left_alphabet)
+                                left_alphabet, QL, QR)
 from braidcover.diagram import DecoratedCycleGraph
+from braidcover.ordercheck import certify_cycle_non_lo, verify_certificate
+from braidcover.presentation import cycle_presentation
 
 w = FreeWord.gen
 
@@ -144,6 +147,62 @@ def test_product_relation_examples():
 def test_product_relation_rejects_degenerate():
     with pytest.raises(ValueError):
         verify_product_relation(DecoratedCycleGraph(2, (1,), ()))
+
+
+def _tampered(words_fn, swap):
+    """words_fn with the first letter of its longest word swapped for the
+    other letter of the alphabet, which keeps the word positive."""
+    def tampered(a, b):
+        words, diffs = words_fn(a, b)
+        k = max(range(len(words)), key=lambda j: len(words[j]))
+        (sym, sign), rest = words[k].letters[0], words[k].letters[1:]
+        words = list(words)
+        words[k] = FreeWord(((swap[sym], sign),) + rest)
+        return words, diffs
+    return tampered
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_tampered_lemma_word_is_rejected(monkeypatch, side):
+    d = DecoratedCycleGraph(3, (2, 1, 2), (1, 2))
+    cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+    if side == "left":
+        fn, swap = rewrite.left_words, {"y0": QL, QL: "y0"}
+        checks = (verify_lemma_left, verify_product_relation)
+    else:
+        ycn = "y%d" % d.cn
+        fn, swap = rewrite.right_words, {ycn: QR, QR: ycn}
+        checks = (verify_lemma_right,)
+    monkeypatch.setattr(rewrite, "%s_words" % side, _tampered(fn, swap))
+    for check in checks:
+        with pytest.raises(RewriteError, match="%s word fails" % side):
+            check(d)
+    ok, problems = verify_certificate(cert, pres)
+    assert not ok
+    assert len(problems) == 1
+    assert problems[0].startswith("lemma replay failed: %s word fails" % side)
+
+
+def test_product_relation_expands_nothing_beyond_its_left_check(monkeypatch):
+    # the product relation follows from the checked left words, so it
+    # substitutes exactly the letters its own verify_lemma_left does
+    letters = [0]
+    substitute = FreeWord.substitute
+
+    def counted(self, mapping):
+        out = substitute(self, mapping)
+        letters[0] += len(out)
+        return out
+
+    monkeypatch.setattr(FreeWord, "substitute", counted)
+    for params in [(1, (2, 2), (1,)), (3, (2, 1, 2), (1, 2)), (2, (3, 1, 1, 2), (2, 1, 3))]:
+        d = DecoratedCycleGraph(*params)
+        letters[0] = 0
+        verify_lemma_left(d)
+        left = letters[0]
+        letters[0] = 0
+        verify_product_relation(d)
+        assert letters[0] == left > 0, params
 
 
 def test_elimination_is_acyclic():
