@@ -6,6 +6,13 @@ families and the two normalization chains work only up to free reduction,
 cyclic permutation, the braid relation, and symbolic h bookkeeping; no
 general conjugacy machinery is used.  Normalizations are emitted as move
 transcripts that replay mechanically.
+
+The twist search and the cyclic comparison work on a compact encoding: one
+character per letter, `a A b B` for s1, s1^-1, s2, s2^-1, so inversion is
+`str.swapcase` and a letter pattern is a substring.  Both ends of a slice
+of a freely reduced word are freely reduced, so the free reduction of two
+such slices joined is cancellation at the seam alone, which `_join` does
+without rescanning either side.
 """
 
 from __future__ import annotations
@@ -35,6 +42,31 @@ TWIST_POS = (
     (S1, S2, S1, S2, S1, S2),   # (s1 s2)^3
 )
 TWIST_NEG = tuple(tuple((g, -s) for g, s in reversed(p)) for p in TWIST_POS)
+
+_CODE = {S1: "a", S1I: "A", S2: "b", S2I: "B"}
+_LETTER = {c: l for l, c in _CODE.items()}
+
+
+def _encode(letters):
+    return "".join(map(_CODE.__getitem__, letters))
+
+
+def _decode(code):
+    return tuple(map(_LETTER.__getitem__, code))
+
+
+def _join(left, right):
+    """Free reduction of left + right for freely reduced encoded words:
+    only letters meeting at the seam can cancel."""
+    k, top = 0, min(len(left), len(right))
+    while k < top and left[-1 - k] == right[k].swapcase():
+        k += 1
+    return left[:len(left) - k] + right[k:]
+
+
+# sign, then the encoded spellings in TWIST_POS / TWIST_NEG order
+_TWIST_CODES = tuple((sign, tuple(map(_encode, pats)))
+                     for sign, pats in ((1, TWIST_POS), (-1, TWIST_NEG)))
 
 
 @dataclass(frozen=True)
@@ -122,12 +154,15 @@ def mirror(w, exchange=False):
 @dataclass(frozen=True)
 class BaldwinClass:
     """Tagged union over the three families; kind is 1, 2, 3 or 0 (none).
-    `moves`, the twist_search path that realised it, is not compared."""
+    `moves`, the twist_search path that realised it, is not compared.  A
+    kind 0 class whose search hit MAX_TWIST_STATES holds that cap in
+    `stopped_at`: it is not known to lie outside the families."""
     kind: int
     d: int = 0
     a: tuple = ()
     m: int = 0
     moves: tuple = field(default=(), compare=False, repr=False)
+    stopped_at: int = 0
 
     def to_json(self):
         if self.kind == 1:
@@ -136,6 +171,8 @@ class BaldwinClass:
             return {"type": 2, "d": self.d, "m": self.m}
         if self.kind == 3:
             return {"type": 3, "d": self.d, "m": self.m}
+        if self.stopped_at:
+            return {"type": None, "stopped_at": self.stopped_at}
         return {"type": None}
 
 
@@ -143,27 +180,12 @@ NOT_IN_FAMILY = BaldwinClass(0)
 
 
 def _cyclic_reduced(letters):
+    """Free reduction, then the cancelling end pairs peeled in one slice."""
     letters = reduce_letters(letters)
-    while letters and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        letters = reduce_letters(letters[1:-1])
-    return letters
-
-
-def _find_twists(letters):
-    """All cyclic occurrences of 6-letter spellings of h^{±1}.
-
-    Yields (rotation, sign) pairs such that rotating by `rotation` puts the
-    block at the front, in a fixed deterministic order.
-    """
-    nn = len(letters)
-    if nn < 6:
-        return
-    doubled = letters + letters
-    for sign, pats in ((1, TWIST_POS), (-1, TWIST_NEG)):
-        for pat in pats:
-            for i in range(nn):
-                if doubled[i:i + 6] == pat:
-                    yield i, sign
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i][0] == letters[j][0] and letters[i][1] == -letters[j][1]:
+        i, j = i + 1, j - 1
+    return letters[i:j + 1]
 
 
 def twist_search(letters):
@@ -172,31 +194,55 @@ def twist_search(letters):
 
     Cancellation can destroy a spelled-out twist and extraction can block a
     cancellation, so both orders are explored; states are deduplicated and
-    the listing order is deterministic.  `moves` replays from the freely
-    reduced input.
+    the listing order is deterministic: the cancellation first, then each
+    cyclic occurrence of a twist spelling by sign, spelling and offset.
+    `moves` replays from the freely reduced input.  The listing stops once
+    it holds MAX_TWIST_STATES states.
+
+    States are searched encoded (see the module docstring).  Rotating an
+    occurrence at offset rot to the front and dropping it leaves
+    cur[rot+6:] + cur[:rot], whose reduction is `_join` of the two slices;
+    their seam pairs cur[-1] with cur[0], so it cancels only when the ends
+    of cur do.  An occurrence across the end leaves the plain slice
+    cur[rot+6-n:rot], and the cancellation successor of cur is cur[1:-1].
+    A successor's moves are built only when its state is new.
     """
-    start = reduce_letters(letters)
+    start = _encode(reduce_letters(letters))
     states = [(start, 0, ())]
     seen = {(start, 0)}
     i = 0
     while i < len(states) and len(states) < MAX_TWIST_STATES:
         cur, dd, moves = states[i]
         i += 1
-        succs = []
-        if cur and cur[0][0] == cur[-1][0] and cur[0][1] == -cur[-1][1]:
-            succs.append((reduce_letters(cur[1:] + cur[:1]), dd,
-                          moves + (("rotate", 1), ("reduce",))))
-        for rot, sign in _find_twists(cur):
-            rotated = cur[rot:] + cur[:rot]
-            step = ((("rotate", rot),) if rot else ()) + \
-                (("extract_h", sign), ("reduce",))
-            succs.append((reduce_letters(rotated[6:]), dd + sign, moves + step))
-        for nxt in succs:
-            key = (nxt[0], nxt[1])
+        nn = len(cur)
+        ends_cancel = nn > 0 and cur[0] == cur[-1].swapcase()
+        if ends_cancel:
+            key = (cur[1:-1], dd)
             if key not in seen:
                 seen.add(key)
-                states.append(nxt)
-    return states
+                states.append(key + (moves + (("rotate", 1), ("reduce",)),))
+        if nn < 6:
+            continue
+        ring = cur + cur[:5]
+        for sign, pats in _TWIST_CODES:
+            for pat in pats:
+                rot = ring.find(pat)
+                while 0 <= rot < nn:
+                    if rot + 6 > nn:
+                        rest = cur[rot + 6 - nn:rot]
+                    elif ends_cancel:
+                        rest = _join(cur[rot + 6:], cur[:rot])
+                    else:
+                        rest = cur[rot + 6:] + cur[:rot]
+                    key = (rest, dd + sign)
+                    if key not in seen:
+                        seen.add(key)
+                        step = (("extract_h", sign), ("reduce",))
+                        if rot:
+                            step = (("rotate", rot),) + step
+                        states.append(key + (moves + step,))
+                    rot = ring.find(pat, rot + 1)
+    return [(_decode(code), dd, moves) for code, dd, moves in states]
 
 
 def _type1_units(letters):
@@ -248,10 +294,13 @@ def classify_baldwin(w):
     """
     key = lambda c: (c.kind, c.d, c.a, c.m)
     best = NOT_IN_FAMILY
-    for cur, dd, moves in twist_search(w.letters):
+    states = twist_search(w.letters)
+    for cur, dd, moves in states:
         c = _match_state(cur, w.fulltwist + dd)
         if c is not None and (best.kind == 0 or key(c) < key(best)):
             best = replace(c, moves=moves)
+    if best.kind == 0 and len(states) >= MAX_TWIST_STATES:
+        return BaldwinClass(0, stopped_at=MAX_TWIST_STATES)
     return best
 
 
@@ -328,13 +377,9 @@ def words_cyclically_equal(w1, w2):
     """Equal up to free reduction and rotation (same fulltwist)."""
     if w1.fulltwist != w2.fulltwist:
         return False
-    a = _cyclic_reduced(w1.letters)
-    b = _cyclic_reduced(w2.letters)
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    return any(a[i:] + a[:i] == b for i in range(len(a)))
+    a = _encode(_cyclic_reduced(w1.letters))
+    b = _encode(_cyclic_reduced(w2.letters))
+    return len(a) == len(b) and b in a + a
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,12 @@ def run_pipeline(text, max_cosets=10 ** 6, canonical=False, cone_depth=None):
     code = EXIT_OK
     try:
         if cls.kind == 0:
-            report["verdict"] = Verdict(
-                VERDICT_INCONCLUSIVE,
-                "not in any of the three families; no claim is made",
-                machine_checked=False).to_json()
+            why = ("the twist search stopped at its cap of %d states before "
+                   "any state matched a family; no claim is made" % cls.stopped_at
+                   if cls.stopped_at else
+                   "not in any of the three families; no claim is made")
+            report["verdict"] = Verdict(VERDICT_INCONCLUSIVE, why,
+                                        machine_checked=False).to_json()
             code = EXIT_INCONCLUSIVE
         elif cls.kind in (2, 3):
             code = _finite_route(report, w, max_cosets, cone_depth)
@@ -293,7 +295,21 @@ def _parse_grid_line(line):
 
 
 def _batch_one(line, max_cosets):
-    """One grid line -> (result entry, counter key).  Exception free."""
+    """One grid line -> (result entry, counter key).  Exception free: an
+    exception no stage handles is that line's soundness failure, named by
+    its type and the function that raised it."""
+    try:
+        return _batch_entry(line, max_cosets)
+    except Exception as e:
+        tb = e.__traceback__
+        while tb.tb_next:
+            tb = tb.tb_next
+        where = tb.tb_frame.f_code.co_name
+        return ({"input": line, "error": "internal error: %s in %s: %s"
+                 % (type(e).__name__, where, e)}, "soundness_failure")
+
+
+def _batch_entry(line, max_cosets):
     try:
         item = _parse_grid_line(line)
     except (ValueError, IndexError):

@@ -509,9 +509,11 @@ def verify_certificate(cert_json, pres):
         d = DecoratedCycleGraph(params["m"], tuple(params["a"]), tuple(params["b"]))
     except Exception as e:
         return False, ["bad parameters: %s" % e]
+    if d.n < 1:     # no y segments: no cycle presentation and no lemma
+        return False, ["hypothesis fails for the stated parameters: n = 0"]
     if not relator_sets_equal(pres, cycle_presentation(d)):
         problems.append("presentation does not match the certificate parameters")
-    if d.n < 1 or not d.hypothesis_ok():
+    if not d.hypothesis_ok():
         problems.append("hypothesis fails for the stated parameters")
     try:
         lemmas = {

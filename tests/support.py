@@ -1,14 +1,16 @@
 """Helpers only the tests use: graph isomorphism, presentation edits, a
-determinant oracle, braid rotation, the family (1) normalizer dispatch and
-a coset table printout."""
+determinant oracle, braid rotation, the family (1) normalizer dispatch, a
+coset table printout and the letter-tuple twist search the encoded one
+must reproduce."""
 
 import itertools
 
+from braidcover import braid
 from braidcover.braid import (BraidError, BraidWord, NormalizationError,
-                              classify_baldwin, normalize_type1_d1,
-                              normalize_type1_dm1)
+                              TWIST_NEG, TWIST_POS, classify_baldwin,
+                              normalize_type1_d1, normalize_type1_dm1)
 from braidcover.presentation import GroupPresentation
-from braidcover.rewrite import FreeWord
+from braidcover.rewrite import FreeWord, reduce_letters
 
 
 def presentation_from_json(data):
@@ -118,3 +120,47 @@ def dump_coset_table(table):
     for i, row in enumerate(table.table):
         lines.append("%5d " % i + " ".join("%4d" % x for x in row))
     return "\n".join(lines) + "\n"
+
+
+def _find_twists(letters):
+    """All cyclic occurrences of 6-letter spellings of h^{±1}.
+
+    Yields (rotation, sign) pairs such that rotating by `rotation` puts the
+    block at the front, in a fixed deterministic order.
+    """
+    nn = len(letters)
+    if nn < 6:
+        return
+    doubled = letters + letters
+    for sign, pats in ((1, TWIST_POS), (-1, TWIST_NEG)):
+        for pat in pats:
+            for i in range(nn):
+                if doubled[i:i + 6] == pat:
+                    yield i, sign
+
+
+def reference_twist_search(letters):
+    """The twist search on letter tuples, reducing each successor in full;
+    braid.twist_search must list the same states in the same order."""
+    start = reduce_letters(letters)
+    states = [(start, 0, ())]
+    seen = {(start, 0)}
+    i = 0
+    while i < len(states) and len(states) < braid.MAX_TWIST_STATES:
+        cur, dd, moves = states[i]
+        i += 1
+        succs = []
+        if cur and cur[0][0] == cur[-1][0] and cur[0][1] == -cur[-1][1]:
+            succs.append((reduce_letters(cur[1:] + cur[:1]), dd,
+                          moves + (("rotate", 1), ("reduce",))))
+        for rot, sign in _find_twists(cur):
+            rotated = cur[rot:] + cur[:rot]
+            step = ((("rotate", rot),) if rot else ()) + \
+                (("extract_h", sign), ("reduce",))
+            succs.append((reduce_letters(rotated[6:]), dd + sign, moves + step))
+        for nxt in succs:
+            key = (nxt[0], nxt[1])
+            if key not in seen:
+                seen.add(key)
+                states.append(nxt)
+    return states

@@ -1,17 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from braidcover import braid
 from braidcover.braid import (BraidError, BraidWord, NormalizationError,
                               parse_braid, format_braid, expand_fulltwist,
                               exponent_sum, mirror,
                               classify_baldwin, normalize_type1_d1,
-                              normalize_type1_dm1,
+                              normalize_type1_dm1, twist_search,
                               replay_moves, words_cyclically_equal,
-                              MAX_LETTERS, S1, S1I, S2, S2I)
+                              MAX_LETTERS, S1, S1I, S2, S2I,
+                              TWIST_NEG, TWIST_POS)
 
 from b3oracle import braids_equal, conjugacy_invariants
-from support import cyclic_conjugate, normalize_type1
+from support import cyclic_conjugate, normalize_type1, reference_twist_search
+
+LETTER = st.sampled_from((S1, S1I, S2, S2I))
 
 
 def test_parse_examples():
@@ -342,3 +347,59 @@ def test_classify_after_full_expansion():
         assert classify_baldwin(expand_fulltwist(w)) == classify_baldwin(w), text
     # cancelled-into block: legitimately unrecognised without braid moves
     assert classify_baldwin(expand_fulltwist(parse_braid("h s1^-2 s2^-1"))).kind == 0
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(LETTER, max_size=40))
+def test_twist_search_matches_reference_on_random_words(letters):
+    assert twist_search(letters) == reference_twist_search(letters)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(TWIST_POS + TWIST_NEG),
+                          st.lists(LETTER, max_size=3)), max_size=6),
+       st.integers(min_value=0))
+def test_twist_search_matches_reference_on_twist_heavy_words(parts, turn):
+    # up to six spelled-out twists with stray letters between them, rotated
+    letters = [l for block, stray in parts for l in block + tuple(stray)]
+    k = turn % (len(letters) + 1)
+    letters = letters[k:] + letters[:k]
+    assert twist_search(letters) == reference_twist_search(letters)
+
+
+def test_twist_search_matches_reference_on_a_long_word():
+    letters = parse_braid("s1 s2 " * 54 + "s1 s2^-2").letters
+    states = twist_search(letters)
+    assert len(letters) == 111 and len(states) == 955
+    assert states == reference_twist_search(letters)
+
+
+def test_truncated_twist_search_is_flagged(monkeypatch):
+    w = parse_braid("s1 s2 " * 54 + "s1 s2^-2")
+    assert classify_baldwin(w) == braid.NOT_IN_FAMILY     # 955 states, no match
+    monkeypatch.setattr(braid, "MAX_TWIST_STATES", 50)
+    c = classify_baldwin(w)
+    assert c.to_json() == {"type": None, "stopped_at": 50}
+    # a search that ends below the cap is not flagged
+    c = classify_baldwin(parse_braid("h^-1 s1 s2 s1 s2 s1 s2 s1 s2^-1"))
+    assert (c.to_json(), c.stopped_at) == ({"type": 1, "d": 0, "a": [1]}, 0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(LETTER, max_size=20), st.lists(LETTER, max_size=4),
+       st.integers(min_value=0), st.booleans())
+def test_words_cyclically_equal_matches_rotation(letters, conj, turn, spoil):
+    # a conjugate of a rotation is cyclically equal; a word with one letter
+    # changed is judged as trying every rotation judges it
+    w = BraidWord(tuple(letters))
+    core = braid._cyclic_reduced(w.letters)
+    if spoil and core:
+        other = BraidWord(((3 - core[0][0], core[0][1]),) + core[1:])
+        want = any(other.letters[i:] + other.letters[:i] == core
+                   for i in range(len(core)))
+    else:
+        k = turn % (len(core) + 1)
+        inv = tuple((g, -s) for g, s in reversed(conj))
+        other = BraidWord(inv + core[k:] + core[:k] + tuple(conj))
+        want = True
+    assert words_cyclically_equal(w, other) == want

@@ -67,6 +67,20 @@ def test_pipeline_not_in_family():
     assert report["verdict"]["verdict"] == "Inconclusive"
 
 
+def test_pipeline_truncated_twist_search(monkeypatch):
+    from braidcover import braid
+    text = "s1 s2 " * 54 + "s1 s2^-2"
+    report, _ = run_pipeline(text, canonical=True)
+    assert report["verdict"]["justification"].startswith("not in any")
+    monkeypatch.setattr(braid, "MAX_TWIST_STATES", 50)
+    report, code = run_pipeline(text, canonical=True)
+    assert code == 1
+    assert report["class"] == {"type": None, "stopped_at": 50}
+    assert report["verdict"]["verdict"] == "Inconclusive"
+    assert report["verdict"]["justification"].startswith(
+        "the twist search stopped at its cap of 50 states")
+
+
 def test_pipeline_parse_error():
     with pytest.raises(PipelineFailure):
         run_pipeline("bogus")
@@ -156,6 +170,23 @@ COUNT_TABLE = [
     ("h^-1 s2^2", "Inconclusive", dict(FINITE, todd_coxeter=0)),
     ("(3; 1,1,1; 1,1)", "NonLO_Certified", dict(CERTIFIED, cycle_relators=2)),
 ]
+
+
+def test_batch_contains_a_crash_to_its_line(monkeypatch):
+    import braidcover.cli as cli
+
+    def crash(pres):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "tietze_simplify", crash)   # finite route only
+    lines = ["h s1 s2^-2 s1 s2^-2", "h s2^4", "(3; 1,1,1; 1,1)"]
+    results, counts = run_batch(lines, workers=1)
+    assert [r["input"] for r in results] == lines
+    assert results[0]["verdict"]["verdict"] == "NonLO_Certified"
+    assert results[1] == {"input": "h s2^4", "error":
+                          "internal error: RuntimeError in crash: boom"}
+    assert results[2]["verdict"] == "NonLO_Certified"
+    assert counts == {"ok": 2, "inconclusive": 0, "hypothesis_not_met": 0,
+                      "input_error": 0, "soundness_failure": 1}
 
 
 def test_batch_verifies_each_certificate_once(monkeypatch):

@@ -233,6 +233,11 @@ def test_certificate_tampering_detected():
     ok, _ = verify_certificate(bad, pres)
     assert not ok
 
+    bad = copy.deepcopy(cert)
+    bad["params"] = {"m": 2, "a": [1], "b": []}     # n = 0: no presentation
+    assert verify_certificate(bad, pres) == (
+        False, ["hypothesis fails for the stated parameters: n = 0"])
+
 
 def test_certificates_for_both_normalizer_shapes():
     # d = 1 normalizations give m > 2 / case 1; d = -1 give m = 1 / case 2
