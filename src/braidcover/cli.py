@@ -20,8 +20,9 @@ from .diagram import (DecoratedCycleGraph, DiagramError, closure_white_graph,
                       to_decorated)
 from .presentation import (AbelianInvariants, greene_presentation,
                            cycle_presentation, abelianize, tietze_simplify)
-from .ordercheck import (Exhausted, HypothesisNotMet, SoundnessError, Verdict,
-                         certify_cycle_non_lo, verify_certificate, todd_coxeter,
+from .ordercheck import (Exhausted, HypothesisNotMet, InfiniteGroup,
+                         SoundnessError, Verdict, certify_cycle_non_lo,
+                         verify_certificate, todd_coxeter, cyclic_subgroup,
                          infinite_witness, torsion_non_lo, positive_cone_search,
                          VERDICT_CERTIFIED, VERDICT_FINITE, VERDICT_TORSION,
                          VERDICT_ALTERNATING, VERDICT_INCONCLUSIVE)
@@ -36,6 +37,15 @@ def _canon(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _internal_error(e):
+    """'internal error: <type> in <function that raised it>: <message>'."""
+    tb = e.__traceback__
+    while tb.tb_next:
+        tb = tb.tb_next
+    return "internal error: %s in %s: %s" % (type(e).__name__,
+                                             tb.tb_frame.f_code.co_name, e)
+
+
 class PipelineFailure(Exception):
     def __init__(self, code, message):
         super().__init__(message)
@@ -45,7 +55,9 @@ class PipelineFailure(Exception):
 def run_pipeline(text, max_cosets=10 ** 6, canonical=False, cone_depth=None):
     """Classify, normalize, present and certify one braid word.
 
-    Returns (report dict, exit code).
+    Returns (report dict, exit code).  Raises PipelineFailure with exit 2
+    for input the parser refuses, and with exit 3 for an exception no
+    stage handles, named by `_internal_error`.
     """
     t0 = time.perf_counter()
     report = {"input": text}
@@ -53,12 +65,12 @@ def run_pipeline(text, max_cosets=10 ** 6, canonical=False, cone_depth=None):
         w = parse_braid(text)
     except BraidError as e:
         raise PipelineFailure(EXIT_INPUT, str(e))
-    report["braid"] = format_braid(w)
-    report["exponent_sum"] = exponent_sum(w)
-    cls = classify_baldwin(w)
-    report["class"] = cls.to_json()
     code = EXIT_OK
     try:
+        report["braid"] = format_braid(w)
+        report["exponent_sum"] = exponent_sum(w)
+        cls = classify_baldwin(w)
+        report["class"] = cls.to_json()
         if cls.kind == 0:
             why = ("the twist search stopped at its cap of %d states before "
                    "any state matched a family; no claim is made" % cls.stopped_at
@@ -82,6 +94,8 @@ def run_pipeline(text, max_cosets=10 ** 6, canonical=False, cone_depth=None):
     except SoundnessError as e:
         report["soundness_error"] = str(e)
         code = EXIT_SOUNDNESS
+    except Exception as e:
+        raise PipelineFailure(EXIT_SOUNDNESS, _internal_error(e))
     if not canonical:
         report["seconds"] = round(time.perf_counter() - t0, 6)
     return report, code
@@ -116,9 +130,11 @@ def _diagram_block(report, w):
 def _finite_route(report, w, max_cosets, cone_depth=None):
     """Families (2) and (3): Tietze-simplify the Greene presentation, then
     prove the group infinite (an index-2 subgroup with infinite
-    abelianization, reported inconclusive at once) or enumerate its cosets;
-    a closed enumeration gives the finite-group verdict, a cap hit is
-    inconclusive."""
+    abelianization, reported inconclusive at once) or enumerate the cosets
+    of a cyclic subgroup H and read |H| off the closed table; a finite
+    order gives the finite-group verdict, an infinite H or a cap hit is
+    inconclusive.  The positive-cone search needs the regular action, so
+    it enumerates the trivial subgroup itself."""
     greene, _, inv = _diagram_block(report, w)
     pres = tietze_simplify(greene)
     eps = infinite_witness(pres)
@@ -132,8 +148,11 @@ def _finite_route(report, w, max_cosets, cone_depth=None):
             machine_checked=False).to_json()
         return EXIT_INCONCLUSIVE
     try:
-        table = todd_coxeter(pres, max_cosets=max_cosets)
-    except Exhausted as e:
+        table = todd_coxeter(pres, max_cosets=max_cosets,
+                             subgroup=cyclic_subgroup(pres))
+        if cone_depth:
+            regular = todd_coxeter(pres, max_cosets=max_cosets)
+    except (Exhausted, InfiniteGroup) as e:
         report["verdict"] = Verdict(VERDICT_INCONCLUSIVE, str(e),
                                     machine_checked=False).to_json()
         return EXIT_INCONCLUSIVE
@@ -143,7 +162,7 @@ def _finite_route(report, w, max_cosets, cone_depth=None):
         raise SoundnessError("group order %d not divisible by |H1| = %d"
                              % (table.order, h1))
     if cone_depth:
-        witness = positive_cone_search(pres, table.is_trivial, depth=cone_depth)
+        witness = positive_cone_search(pres, regular.is_trivial, depth=cone_depth)
         report["positive_cone"] = (witness.to_json() if witness is not None
                                    else {"found": False, "depth": cone_depth})
     just = ("coset enumeration closed with order %d" % table.order) if table.order > 1 \
@@ -301,12 +320,7 @@ def _batch_one(line, max_cosets):
     try:
         return _batch_entry(line, max_cosets)
     except Exception as e:
-        tb = e.__traceback__
-        while tb.tb_next:
-            tb = tb.tb_next
-        where = tb.tb_frame.f_code.co_name
-        return ({"input": line, "error": "internal error: %s in %s: %s"
-                 % (type(e).__name__, where, e)}, "soundness_failure")
+        return {"input": line, "error": _internal_error(e)}, "soundness_failure"
 
 
 def _batch_entry(line, max_cosets):
@@ -319,7 +333,8 @@ def _batch_entry(line, max_cosets):
             report, code = run_pipeline(item[1], max_cosets=max_cosets,
                                         canonical=True)
         except PipelineFailure as e:
-            return {"input": line, "error": str(e)}, "input_error"
+            return {"input": line, "error": str(e)}, (
+                "input_error" if e.code == EXIT_INPUT else "soundness_failure")
         if code == EXIT_OK:
             return report, "ok"
         if code == EXIT_SOUNDNESS:

@@ -2,10 +2,13 @@
 
 Three routes: the sign-deduction certificate for cycle-form presentations,
 HLT coset enumeration to witness finite groups, and torsion of a known
-cyclic (or lens-space connected-sum) cover.  An index-2 subgroup with
-infinite abelianization proves a group infinite before enumeration is
-tried.  A bounded positive-cone search is included as a generic
-brute-force obstruction.
+cyclic (or lens-space connected-sum) cover.  The finite route enumerates
+the cosets of a cyclic subgroup H and reads |H| off the abelianized
+Reidemeister-Schreier presentation of H over the closed table, so |G| =
+[G:H] |H|.  The same subgroup abelianization proves a group infinite,
+from an index-2 subgroup before enumeration or from H after it.  A
+bounded positive-cone search, on the regular action only, is included as
+a generic brute-force obstruction.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from .rewrite import (FreeWord, format_word, parse_word, x_sym, right_words,
                       verify_lemma_x, verify_lemma_right, verify_product_relation,
                       QR)
 from .diagram import DecoratedCycleGraph, cycle_graph_from_params
-from .presentation import (cycle_presentation, relator_sets_equal,
-                           smith_normal_form)
+from .presentation import (AbelianInvariants, cycle_presentation,
+                           relator_sets_equal, smith_normal_form)
 
 VERDICT_CERTIFIED = "NonLO_Certified"
 VERDICT_FINITE = "NonLO_FiniteGroup"
@@ -54,13 +57,18 @@ class Exhausted(Exception):
     """Coset cap hit; inconclusive, never an answer."""
 
 
+class InfiniteGroup(Exception):
+    """The enumerated subgroup has infinite abelianization; G is infinite."""
+
+
 @dataclass
 class CosetTable:
     generators: tuple
     complete: bool
-    order: int
+    order: int            # |G| = index * |H|
     table: tuple          # live rows, standardized numbering
     cosets_defined: int
+    index: int            # [G:H], the number of rows
 
     def trace(self, start, word):
         col = {g: 2 * i for i, g in enumerate(self.generators)}
@@ -70,17 +78,30 @@ class CosetTable:
         return cur
 
     def is_trivial(self, word):
-        """Word problem oracle; valid because the table is the regular action."""
+        """Word problem oracle; valid only when the table is the regular
+        action, that is when the enumerated subgroup is trivial."""
         if not self.complete:
             raise SoundnessError("incomplete table cannot decide the word problem")
+        if self.index != self.order:
+            raise SoundnessError("a table over a nontrivial subgroup cannot "
+                                 "decide the word problem")
         return self.trace(0, word) == 0
 
 
-def todd_coxeter(p, max_cosets=10 ** 6):
-    """Enumerate cosets of the trivial subgroup; deterministic HLT strategy.
+def todd_coxeter(p, max_cosets=10 ** 6, subgroup=()):
+    """Enumerate the cosets of the subgroup H generated by the words in
+    `subgroup` (default trivial); deterministic HLT strategy.
 
-    Returns a complete CosetTable or raises Exhausted at the coset cap.
+    The subgroup words are scanned at coset 0 before the main loop.  For a
+    nonempty subgroup |H| is read from the abelianized Reidemeister-Schreier
+    presentation of H over the closed table; H has one generating word, so
+    it is cyclic, equals its abelianization, and the order is [G:H] |H|;
+    more than one word is refused.  Returns a complete CosetTable; raises
+    Exhausted at the coset cap, and InfiniteGroup when H has positive free
+    rank.
     """
+    if len(subgroup) > 1:
+        raise ValueError("the order is read off cyclic subgroups only")
     gens = tuple(p.generators)
     ncols = 2 * len(gens)
     col = {g: 2 * i for i, g in enumerate(gens)}
@@ -159,14 +180,15 @@ def todd_coxeter(p, max_cosets=10 ** 6):
                 return
             define(f, word[i])
 
+    for w in subgroup:
+        if w:
+            scan_and_fill(0, encode(w))
     alpha = 0
     while alpha < len(table):
         if rep(alpha) != alpha:
             alpha += 1
             continue
         for w in relators:
-            if not w:
-                continue
             scan_and_fill(alpha, w)
             if rep(alpha) != alpha:
                 break
@@ -181,8 +203,39 @@ def todd_coxeter(p, max_cosets=10 ** 6):
     index = {c: i for i, c in enumerate(live)}
     rows = [[index[rep(table[c][x])] for x in range(ncols)] for c in live]
     rows = _standardize(rows, ncols)
-    return CosetTable(gens, True, len(live), tuple(tuple(r) for r in rows),
-                      len(table))
+    order = len(rows)
+    if any(subgroup):
+        h = subgroup_abelianization(p, rows)
+        if h.rank:
+            raise InfiniteGroup(
+                "the subgroup generated by %s has index %d and infinite "
+                "abelianization, so the group is infinite"
+                % (", ".join(format_word(w) for w in subgroup), order))
+        order *= h.order()
+    return CosetTable(gens, True, order, tuple(tuple(r) for r in rows),
+                      len(table), len(rows))
+
+
+def cyclic_subgroup(p):
+    """Words generating the cyclic subgroup the finite route enumerates.
+
+    The commonest cyclic two-letter subword a^+-1 b^+-1 (a != b) of the
+    relators, ties by first occurrence; a one-generator presentation uses
+    its generator.  Empty (the trivial subgroup) when there is no such
+    subword, as with zero generators.
+    """
+    if len(p.generators) == 1:
+        return (FreeWord.gen(p.generators[0]),)
+    counts = {}
+    for r in p.relators:
+        ls = r.letters
+        for i, a in enumerate(ls):
+            b = ls[i + 1 - len(ls)]
+            if a[0] != b[0]:
+                counts[a, b] = counts.get((a, b), 0) + 1
+    if not counts:
+        return ()
+    return (FreeWord(max(counts, key=counts.get)),)
 
 
 def _standardize(rows, ncols):
@@ -203,8 +256,55 @@ def _standardize(rows, ncols):
 
 
 # ---------------------------------------------------------------------------
-# Infinitude from an index-2 subgroup (Reidemeister-Schreier).
+# Subgroup abelianization (Reidemeister-Schreier) and the index-2 test.
 # ---------------------------------------------------------------------------
+
+def subgroup_abelianization(p, rows):
+    """Abelian invariants of the subgroup H of G whose cosets `rows` lists.
+
+    rows[c][2i] and rows[c][2i + 1] are the cosets of c times generator i
+    and its inverse, with H the coset 0.  A breadth-first spanning tree of
+    the coset graph picks the representatives rep(c); the Schreier
+    generator (c, g) = rep(c) g rep(c g)^-1 is trivial on the tree and
+    otherwise has a column.  Each relator rewritten from each coset gives
+    a relation row of exponent sums (Reidemeister-Schreier), and the Smith
+    form of those rows gives H^ab.
+    """
+    ngens = len(p.generators)
+    seen = {0}
+    tree = set()
+    queue = [0]
+    for c in queue:
+        for x in range(2 * ngens):
+            e = rows[c][x]
+            if e not in seen:
+                seen.add(e)
+                queue.append(e)
+                tree.add((c, x >> 1) if x & 1 == 0 else (e, x >> 1))
+    col = {}
+    for c in range(len(rows)):
+        for i in range(ngens):
+            if (c, i) not in tree:
+                col[c, i] = len(col)
+    gen = {g: i for i, g in enumerate(p.generators)}
+    relations = []
+    for r in p.relators:
+        for start in range(len(rows)):
+            c = start
+            row = {}
+            for sym, sign in r.letters:
+                i = gen[sym]
+                if sign == -1:
+                    c = rows[c][2 * i + 1]
+                k = col.get((c, i))
+                if k is not None:
+                    row[k] = row.get(k, 0) + sign
+                if sign == 1:
+                    c = rows[c][2 * i]
+            relations.append({k: v for k, v in row.items() if v})
+    diag = smith_normal_form(relations, len(col))
+    return AbelianInvariants(tuple(d for d in diag if d > 1), len(col) - len(diag))
+
 
 # dim H1(G; F2) above which infinite_witness gives up: it tries all
 # 2^dim - 1 maps onto Z/2
@@ -217,10 +317,11 @@ def infinite_witness(p):
     That kernel has index 2, so the group is infinite and coset
     enumeration of it cannot close.  The maps are the nonzero solutions
     of the exponent-sum matrix mod 2, all of them tried (the infinite
-    dihedral group has one good map among three).  Returns {generator:
-    0 or 1} for the first kernel of positive free rank.  None when no
-    kernel has one or H1(G; F2) has dimension above WITNESS_MAX_DIM; a
-    finite group always gets None.
+    dihedral group has one good map among three); each kernel is
+    abelianized from its two-coset table.  Returns {generator: 0 or 1}
+    for the first kernel of positive free rank.  None when no kernel has
+    one or H1(G; F2) has dimension above WITNESS_MAX_DIM; a finite group
+    always gets None.
     """
     gens = p.generators
     col = {g: i for i, g in enumerate(gens)}
@@ -239,8 +340,8 @@ def infinite_witness(p):
             if pick >> i & 1:
                 bits ^= v
         eps = {g: bits >> i & 1 for i, g in enumerate(gens)}
-        relations, ncols = _index2_kernel_relations(p, eps)
-        if len(smith_normal_form(relations, ncols)) < ncols:
+        table = [[c ^ eps[g] for g in gens for _ in (0, 1)] for c in (0, 1)]
+        if subgroup_abelianization(p, table).rank:
             return eps
     return None
 
@@ -268,37 +369,6 @@ def _f2_solutions(rows, n):
                     x |= 1 << c
             basis.append(x)
     return basis
-
-
-def _index2_kernel_relations(p, eps):
-    """Abelianized Reidemeister-Schreier presentation of the kernel of
-    eps: G -> Z/2, as (relation rows, number of generators).
-
-    Cosets 0 and 1 have representatives 1 and t, the first generator eps
-    sends to 1.  Column (g, c) stands for rep(c) g rep(c + eps(g))^-1;
-    (t, 0) is 1 and has no column.  Each relator is rewritten from both
-    cosets; a row holds the exponent sums of its rewrite.
-    """
-    t = next(g for g in p.generators if eps[g])
-    col = {}
-    for g in p.generators:
-        for c in (0, 1):
-            if (g, c) != (t, 0):
-                col[g, c] = len(col)
-    rows = []
-    for r in p.relators:
-        for start in (0, 1):
-            c = start
-            row = [0] * len(col)
-            for sym, sign in r.letters:
-                if sign == -1:
-                    c ^= eps[sym]
-                if (sym, c) in col:
-                    row[col[sym, c]] += sign
-                if sign == 1:
-                    c ^= eps[sym]
-            rows.append(row)
-    return rows, len(col)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ One generator per white region; at each vertex the relator multiplies
 (x_j^-1 x_i)^sign over the incident edge ends in rotation order, and the
 root generator is killed.  Abelian invariants come from the integer Smith
 normal form of the exponent matrix, which cross-checks the Goeritz
-determinant of the same graph.
+determinant of the same graph; the Smith form eliminates unit pivots on
+sparse rows before any dense reduction.  Tietze simplification removes
+generators that occur once in a relator, shortest relator first, and
+prints a relator only to break a tie in length.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from math import gcd
 
@@ -104,12 +108,77 @@ class AbelianInvariants:
 
 
 def smith_normal_form(rows, ncols):
-    """Diagonal of the Smith normal form of an integer matrix.
+    """Nonzero diagonal of the Smith normal form of an integer matrix.
 
-    Plain exact-arithmetic reduction: move a pivot of least absolute value
-    into place, clear its row and column, then fix up divisibility.
+    Rows are dense integer sequences or {column: value} dicts.  Unit
+    entries are eliminated first on sparse rows, each pivot chosen by
+    least (row nonzeros - 1) * (column nonzeros - 1) so that little fills
+    in; a heap holds the candidates, and a cost that grew since it was
+    offered is offered again.  Each unit pivot gives a diagonal 1.  What
+    remains goes to the dense reduction.
     """
-    m = [list(r) for r in rows]
+    m = [{j: v for j, v in (r.items() if isinstance(r, dict) else enumerate(r)) if v}
+         for r in rows]
+    cols = {}                   # column -> rows holding a nonzero in it
+    for i, r in enumerate(m):
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    heap = []                   # (cost when offered, row, column)
+
+    def offer(i):
+        r = m[i]
+        for j, v in r.items():
+            if v == 1 or v == -1:
+                heapq.heappush(heap, ((len(r) - 1) * (len(cols[j]) - 1), i, j))
+
+    for i in range(len(m)):
+        offer(i)
+    ones = 0
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        prow = m[i]
+        if prow is None or prow.get(j) not in (1, -1):
+            continue
+        now = (len(prow) - 1) * (len(cols[j]) - 1)
+        if now > cost:          # filled in since offered: offer it again
+            heapq.heappush(heap, (now, i, j))
+            continue
+        m[i] = None
+        for c in prow:
+            cols[c].discard(i)
+        for k in cols.pop(j):
+            row = m[k]
+            f = row.pop(j) * prow[j]
+            for c, v in prow.items():
+                if c == j:
+                    continue
+                x = row.get(c, 0) - f * v
+                if x:
+                    row[c] = x
+                    cols[c].add(k)
+                else:
+                    del row[c]
+                    cols[c].discard(k)
+            if row:
+                offer(k)
+            else:
+                m[k] = None
+        ones += 1
+    left = sorted(c for c, held in cols.items() if held)
+    place = {c: n for n, c in enumerate(left)}
+    dense = []
+    for r in m:
+        if r:
+            row = [0] * len(left)
+            for c, v in r.items():
+                row[place[c]] = v
+            dense.append(row)
+    return [1] * ones + _dense_smith(dense, len(left))
+
+
+def _dense_smith(m, ncols):
+    """Plain exact-arithmetic reduction: move a pivot of least absolute
+    value into place, clear its row and column, then fix up divisibility."""
     nr = len(m)
     diag = []
     top = 0
@@ -168,13 +237,14 @@ def smith_normal_form(rows, ncols):
 
 def abelianize(p):
     """Torsion coefficients and free rank of the abelianized presentation."""
-    gens = list(p.generators)
+    gens = p.generators
     index = {g: i for i, g in enumerate(gens)}
     rows = []
     for r in p.relators:
-        row = [0] * len(gens)
+        row = {}
         for sym, s in r.letters:
-            row[index[sym]] += s
+            j = index[sym]
+            row[j] = row.get(j, 0) + s
         rows.append(row)
     diag = smith_normal_form(rows, len(gens))
     torsion = tuple(d for d in diag if d > 1)
@@ -190,22 +260,26 @@ def tietze_simplify(p):
 
     Abelian invariants are unchanged; the loop is deterministic (shortest
     relator first, ties by printed form) and stops at a fixpoint.  Each
-    relator's sort key and elimination target are computed once, when the
-    relator is made; an elimination rewrites only the relators that hold
-    the eliminated generator, with its solved word inverted once.
+    relator's elimination target is computed once, when the relator is
+    made, and its printed form only when it ties for the shortest
+    eligible relator; an elimination rewrites only the relators that hold
+    the eliminated generator, with its solved word inverted once.  The
+    result lists its relators by (length, printed form).
     """
     gens = list(p.generators)
     rels = [_tietze_entry(w) for w in (r.cyclic_reduce() for r in p.relators) if w]
     while True:
-        rels.sort(key=lambda e: e[0])
-        ri = next((i for i, e in enumerate(rels) if e[2] is not None), None)
-        if ri is None:
+        least = min((e[0] for e in rels if e[2] is not None), default=None)
+        if least is None:
             break
-        _, r, target, _ = rels.pop(ri)
+        pick = min((e for e in rels if e[0] == least and e[2] is not None),
+                   key=_printed)
+        rels.remove(pick)
+        _, r, target, _, _ = pick
         word = solve_relation(r, target)
         spelled = {1: word.letters, -1: word.inverse().letters}
         gens.remove(target)
-        for i, (_, x, _, counts) in enumerate(rels):
+        for i, (_, x, _, counts, _) in enumerate(rels):
             if target in counts:
                 out = []
                 for sym, sign in x.letters:
@@ -214,18 +288,26 @@ def tietze_simplify(p):
                     else:
                         out.append((sym, sign))
                 rels[i] = _tietze_entry(FreeWord(out).cyclic_reduce())
-        rels = [e for e in rels if e[1]]
+        rels = [e for e in rels if e[0]]
+    rels.sort(key=lambda e: (e[0], _printed(e)))
     return GroupPresentation(tuple(gens), tuple(e[1] for e in rels))
 
 
 def _tietze_entry(r):
-    """(sort key, relator, least generator occurring once in it or None,
-    occurrence counts of its generators)."""
+    """[length, relator, least generator occurring once in it or None,
+    occurrence counts of its generators, printed form or None until
+    needed]."""
     counts = {}
     for sym, _ in r.letters:
         counts[sym] = counts.get(sym, 0) + 1
     once = [sym for sym, c in counts.items() if c == 1]
-    return (len(r), str(r)), r, min(once) if once else None, counts
+    return [len(r), r, min(once) if once else None, counts, None]
+
+
+def _printed(entry):
+    if entry[4] is None:
+        entry[4] = str(entry[1])
+    return entry[4]
 
 
 def relator_sets_equal(p1, p2):

@@ -1,16 +1,18 @@
 """Helpers only the tests use: graph isomorphism, presentation edits, a
-determinant oracle, braid rotation, the family (1) normalizer dispatch, a
-coset table printout and the letter-tuple twist search the encoded one
-must reproduce."""
+determinant oracle, the Smith diagonal from determinantal divisors, braid
+rotation, the family (1) normalizer dispatch, a coset table printout, and
+the references the faster code must reproduce: the letter-tuple twist
+search and the Tietze simplification that printed every relator."""
 
 import itertools
+from math import gcd
 
 from braidcover import braid
 from braidcover.braid import (BraidError, BraidWord, NormalizationError,
                               TWIST_NEG, TWIST_POS, classify_baldwin,
                               normalize_type1_d1, normalize_type1_dm1)
 from braidcover.presentation import GroupPresentation
-from braidcover.rewrite import FreeWord, reduce_letters
+from braidcover.rewrite import FreeWord, reduce_letters, solve_relation
 
 
 def presentation_from_json(data):
@@ -93,6 +95,24 @@ def leibniz_det(m):
     return total
 
 
+def determinantal_divisors(rows, ncols):
+    """Nonzero Smith diagonal from the determinantal divisors: d_k is the
+    gcd of the k x k minors and the k-th invariant factor is d_k / d_(k-1).
+    Sums over permutations; for small matrices only."""
+    out = []
+    prev = 1
+    for k in range(1, min(len(rows), ncols) + 1):
+        dk = 0
+        for rs in itertools.combinations(range(len(rows)), k):
+            for cs in itertools.combinations(range(ncols), k):
+                dk = gcd(dk, leibniz_det([[rows[i][j] for j in cs] for i in rs]))
+        if not dk:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return out
+
+
 def cyclic_conjugate(w, k):
     """Rotate the letters of w left by k, keeping its full-twist power."""
     if not 0 <= k <= len(w.letters):
@@ -164,3 +184,46 @@ def reference_twist_search(letters):
                 seen.add(key)
                 states.append(nxt)
     return states
+
+
+def reference_tietze_simplify(p):
+    """Eliminate generators that occur exactly once in some relator.
+
+    Abelian invariants are unchanged; the loop is deterministic (shortest
+    relator first, ties by printed form) and stops at a fixpoint.  Each
+    relator's sort key and elimination target are computed once, when the
+    relator is made; an elimination rewrites only the relators that hold
+    the eliminated generator, with its solved word inverted once.
+    """
+    gens = list(p.generators)
+    rels = [_tietze_entry(w) for w in (r.cyclic_reduce() for r in p.relators) if w]
+    while True:
+        rels.sort(key=lambda e: e[0])
+        ri = next((i for i, e in enumerate(rels) if e[2] is not None), None)
+        if ri is None:
+            break
+        _, r, target, _ = rels.pop(ri)
+        word = solve_relation(r, target)
+        spelled = {1: word.letters, -1: word.inverse().letters}
+        gens.remove(target)
+        for i, (_, x, _, counts) in enumerate(rels):
+            if target in counts:
+                out = []
+                for sym, sign in x.letters:
+                    if sym == target:
+                        out.extend(spelled[sign])
+                    else:
+                        out.append((sym, sign))
+                rels[i] = _tietze_entry(FreeWord(out).cyclic_reduce())
+        rels = [e for e in rels if e[1]]
+    return GroupPresentation(tuple(gens), tuple(e[1] for e in rels))
+
+
+def _tietze_entry(r):
+    """(sort key, relator, least generator occurring once in it or None,
+    occurrence counts of its generators)."""
+    counts = {}
+    for sym, _ in r.letters:
+        counts[sym] = counts.get(sym, 0) + 1
+    once = [sym for sym, c in counts.items() if c == 1]
+    return (len(r), str(r)), r, min(once) if once else None, counts

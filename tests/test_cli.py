@@ -9,8 +9,11 @@ import braidcover
 from braidcover.braid import expand_fulltwist, parse_braid
 from braidcover.cli import main, run_pipeline, run_batch, PipelineFailure
 from braidcover.diagram import DecoratedCycleGraph, closure_white_graph, graph_dot
-from braidcover.ordercheck import certify_cycle_non_lo, verify_certificate
-from braidcover.presentation import cycle_presentation
+from braidcover.ordercheck import (certify_cycle_non_lo, todd_coxeter,
+                                   verify_certificate)
+from braidcover.presentation import (cycle_presentation, greene_presentation,
+                                     tietze_simplify)
+from braidcover.rewrite import parse_word
 
 # the child process imports the same braidcover as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(braidcover.__file__)))
@@ -266,6 +269,41 @@ def test_batch_workers_deterministic(tmp_path):
 
 
 def test_pipeline_cone_depth():
-    report, code = run_pipeline("h s1^-2 s2^-1", canonical=True, cone_depth=6)
+    line = "h s1^-2 s2^-1"
+    report, code = run_pipeline(line, canonical=True, cone_depth=6)
     assert code == 0
-    assert "derivations" in report["positive_cone"]
+    cone = report["positive_cone"]
+    # every derivation is the identity in the regular action of the group
+    g = closure_white_graph(expand_fulltwist(parse_braid(line)))
+    pres = tietze_simplify(greene_presentation(g))
+    regular = todd_coxeter(pres)
+    assert cone["generators"] == list(pres.generators)
+    assert len(cone["derivations"]) == 2 ** len(pres.generators)
+    for word in cone["derivations"].values():
+        assert parse_word(word) and regular.trace(0, parse_word(word)) == 0, word
+
+
+def test_pipeline_contains_a_crash(monkeypatch, capsys):
+    import braidcover.cli as cli
+
+    def crash(pres):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "tietze_simplify", crash)
+    assert main(["pipeline", "h s2^3"]) == 3
+    assert capsys.readouterr().err == \
+        "error: internal error: RuntimeError in crash: boom\n"
+    with pytest.raises(PipelineFailure) as err:
+        run_pipeline("h s2^3")
+    assert err.value.code == 3
+
+
+def test_infinite_subgroup_is_inconclusive(monkeypatch):
+    # without the index-2 test, the infinite dihedral group is caught by
+    # its infinite cyclic subgroup of index 2
+    import braidcover.cli as cli
+    monkeypatch.setattr(cli, "infinite_witness", lambda pres: None)
+    report, code = run_pipeline("h^-1 s2^2", canonical=True)
+    assert code == 1
+    assert report["verdict"]["verdict"] == "Inconclusive"
+    assert "has index 2 and infinite abelianization" in \
+        report["verdict"]["justification"]

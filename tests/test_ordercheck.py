@@ -14,13 +14,13 @@ from braidcover.presentation import (GroupPresentation, AbelianInvariants,
                                      tietze_simplify)
 from braidcover.braid import parse_braid, expand_fulltwist
 from braidcover.diagram import closure_white_graph
-from braidcover.ordercheck import (Exhausted, HypothesisNotMet, todd_coxeter,
+from braidcover.ordercheck import (Exhausted, HypothesisNotMet, InfiniteGroup,
+                                   SoundnessError, todd_coxeter, cyclic_subgroup,
                                    infinite_witness, positive_cone_search,
                                    torsion_non_lo, certify_cycle_non_lo,
                                    verify_certificate, WITNESS_MAX_DIM,
                                    VERDICT_TORSION, VERDICT_INCONCLUSIVE,
-                                   _index2_kernel_relations)
-from braidcover.presentation import smith_normal_form
+                                   VERDICT_FINITE, subgroup_abelianization)
 from braidcover.cli import run_pipeline
 
 from support import dump_coset_table, kill_generator, normalize_type1
@@ -84,6 +84,86 @@ def test_todd_coxeter_invariances():
     assert todd_coxeter(tietze_simplify(kill)).order == order
 
 
+SYMMETRIC3 = GroupPresentation(
+    ("a", "b"), (w("a") ** 2, w("b") ** 2, (w("a") * w("b")) ** 3))
+
+
+def element_order(regular, word):
+    """Order of a word, by tracing its powers through the regular action."""
+    k, c = 1, regular.trace(0, word)
+    while c:
+        k, c = k + 1, regular.trace(c, word)
+    return k
+
+
+@pytest.mark.parametrize("p, h", [
+    (SYMMETRIC3, w("a")), (SYMMETRIC3, w("a") * w("b")),
+    (QUATERNION, w("a")), (QUATERNION, w("a") * w("b") ** -1),
+    (BINARY_ICOSAHEDRAL, w("s")), (BINARY_ICOSAHEDRAL, w("t")),
+    (BINARY_ICOSAHEDRAL, w("s") * w("t")),
+])
+def test_subgroup_enumeration_order(p, h):
+    regular = todd_coxeter(p)
+    table = todd_coxeter(p, subgroup=(h,))
+    assert table.index * element_order(regular, h) == regular.order
+    assert table.order == regular.order
+    assert len(table.table) == table.index < regular.order
+
+
+def test_oracle_refuses_a_subgroup_table():
+    table = todd_coxeter(SYMMETRIC3, subgroup=(w("a"),))
+    with pytest.raises(SoundnessError):
+        table.is_trivial(w("a"))
+    # a subgroup word that is trivial in G leaves the regular action
+    table = todd_coxeter(SYMMETRIC3, subgroup=(w("a") ** 2,))
+    assert table.index == table.order == 6 and table.is_trivial(w("b") ** 2)
+
+
+def test_infinite_subgroup_proves_the_group_infinite():
+    # Z x Z/2: <a> has index 2 and is infinite cyclic
+    p = GroupPresentation(("a", "b"), (w("a") * w("b") * w("a") ** -1 * w("b") ** -1,
+                                       w("b") ** 2))
+    with pytest.raises(InfiniteGroup):
+        todd_coxeter(p, subgroup=(w("a"),))
+    with pytest.raises(ValueError):
+        todd_coxeter(p, subgroup=(w("a"), w("b")))
+
+
+def test_cyclic_subgroup_choice():
+    # a b^-1 occurs in both relators, every other pair in one
+    p = GroupPresentation(("a", "b", "c", "d"),
+                          (w("c") * w("a") * w("b") ** -1,
+                           w("d") * w("a") * w("b") ** -1))
+    assert cyclic_subgroup(p) == (w("a") * w("b") ** -1,)
+    # a tie goes to the first occurrence
+    p = GroupPresentation(("a", "b"), (w("b") * w("a") * w("b") ** 2 * w("a") ** 2,))
+    assert cyclic_subgroup(p) == (w("b") * w("a"),)
+    assert cyclic_subgroup(GroupPresentation(("v",), (w("v") ** 5,))) == (w("v"),)
+    assert cyclic_subgroup(GroupPresentation((), ())) == ()
+    assert cyclic_subgroup(GroupPresentation(("a", "b"), (w("a") ** 2,))) == ()
+
+
+def test_subgroup_route_matches_the_regular_action_on_the_finite_workload():
+    closed = 0
+    for op in workloads.generate("finite", 1):
+        g = closure_white_graph(expand_fulltwist(parse_braid(op.line)))
+        p = tietze_simplify(greene_presentation(g))
+        if infinite_witness(p) is not None:
+            continue
+        table = todd_coxeter(p, subgroup=cyclic_subgroup(p))
+        assert table.order == todd_coxeter(p).order, op.line
+        closed += 1
+    assert closed >= 60
+
+
+def test_h_s2_300_closes():
+    # family (2): the order is 4 |m + 2d|, used here only as an oracle
+    report, code = run_pipeline("h s2^300", canonical=True)
+    assert code == 0
+    assert report["verdict"]["verdict"] == VERDICT_FINITE
+    assert report["group_order"] == 4 * abs(300 + 2 * 1) == 1208
+
+
 def test_witness_flags_infinite_groups():
     # Z/2 * Z/2: only the map sending both generators to 1 has a kernel
     # with infinite abelianization (it is <ab>, infinite cyclic)
@@ -106,15 +186,15 @@ def test_witness_caps_the_mod_2_dimension():
     assert infinite_witness(free_product(WITNESS_MAX_DIM + 1)) is None
 
 
-def test_index2_kernel_relations():
+def test_subgroup_abelianization_of_index2_kernels():
     # <a^2> in Z/4 is Z/2; an index-2 subgroup of the free group of rank 2
     # is free of rank 3
-    rows, ncols = _index2_kernel_relations(GroupPresentation(("a",), (w("a") ** 4,)),
-                                           {"a": 1})
-    assert ncols == 1 and smith_normal_form(rows, ncols) == [2]
-    rows, ncols = _index2_kernel_relations(GroupPresentation(("a", "b"), ()),
-                                           {"a": 1, "b": 0})
-    assert ncols == 3 and rows == []
+    inv = subgroup_abelianization(GroupPresentation(("a",), (w("a") ** 4,)),
+                                  [[1, 1], [0, 0]])
+    assert inv.to_json() == {"torsion": [2], "rank": 0}
+    inv = subgroup_abelianization(GroupPresentation(("a", "b"), ()),
+                                  [[1, 1, 0, 0], [0, 0, 1, 1]])
+    assert inv.to_json() == {"torsion": [], "rank": 3}
 
 
 def test_witness_passes_the_finite_workload():

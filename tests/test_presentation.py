@@ -1,6 +1,9 @@
+import os
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidcover.rewrite import FreeWord, parse_word
 from braidcover.diagram import (CheckerboardGraph, DecoratedCycleGraph,
@@ -13,7 +16,14 @@ from braidcover.presentation import (GroupPresentation, PresentationError,
                                      abelianize, tietze_simplify,
                                      smith_normal_form, relator_sets_equal)
 
-from support import kill_generator, presentation_from_json
+from support import (determinantal_divisors, kill_generator,
+                     presentation_from_json, reference_tietze_simplify)
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+import workloads  # noqa: E402
 
 w = FreeWord.gen
 
@@ -109,6 +119,29 @@ def test_smith_normal_form_known():
         assert diag[i + 1] % diag[i] == 0
 
 
+@st.composite
+def _sparse_matrices(draw):
+    """Up to 5 x 5 integer matrices with some rows and columns zeroed."""
+    nr, nc = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = [draw(st.lists(st.integers(-6, 6), min_size=nc, max_size=nc))
+            for _ in range(nr)]
+    zero_rows = draw(st.sets(st.integers(0, 4)))
+    zero_cols = draw(st.sets(st.integers(0, 4)))
+    return [[0 if i in zero_rows or j in zero_cols else v
+             for j, v in enumerate(r)] for i, r in enumerate(rows)], nc
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_sparse_matrices())
+def test_smith_normal_form_matches_determinantal_divisors(matrix):
+    rows, ncols = matrix
+    want = determinantal_divisors(rows, ncols)
+    assert smith_normal_form(rows, ncols) == want
+    # the same matrix as {column: value} rows
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    assert smith_normal_form(sparse, ncols) == want
+
+
 def test_tietze_examples():
     p = GroupPresentation(("a", "b"), (parse_word("a b^-1"), parse_word("a^3")))
     q = tietze_simplify(p)
@@ -116,6 +149,17 @@ def test_tietze_examples():
     assert len(q.relators) == 1 and len(q.relators[0]) == 3
     # fixpoint
     assert tietze_simplify(q).to_json() == q.to_json()
+
+
+def test_tietze_matches_the_reference_on_the_workloads():
+    # same eliminations, same relators in the same order
+    lines = {op.line for name in ("ladder", "finite", "mix", "twisted")
+             for seed in (1, 2) for op in workloads.generate(name, seed)
+             if op.word is not None}
+    assert len(lines) > 2000
+    for line in sorted(lines):
+        p = greene_presentation(closure_white_graph(expand_fulltwist(parse_braid(line))))
+        assert tietze_simplify(p).to_json() == reference_tietze_simplify(p).to_json(), line
 
 
 def test_tietze_preserves_abelianization():
