@@ -362,7 +362,9 @@ def _batch_entry(line, max_cosets):
 
 def run_batch(lines, max_cosets=10 ** 6, workers=1):
     """Run the grid; independent lines may fan out across processes, with
-    results merged back in input order."""
+    results merged back in input order.  Each worker takes the lines in
+    chunks of about a quarter of its share, since a line is often cheaper
+    than sending it to a worker and back."""
     tasks = []
     for line in lines:
         line = line.split("#", 1)[0].strip()
@@ -375,7 +377,8 @@ def run_batch(lines, max_cosets=10 ** 6, workers=1):
         from functools import partial
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(partial(_batch_one, max_cosets=max_cosets),
-                                     tasks))
+                                     tasks,
+                                     chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         outcomes = [_batch_one(t, max_cosets) for t in tasks]
     results = []

@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .rewrite import (FreeWord, format_word, parse_word, x_sym, right_words,
-                      verify_lemma_x, verify_lemma_right, verify_product_relation,
-                      QR)
+from .rewrite import (FreeWord, RewriteError, format_word, parse_word, x_sym,
+                      right_rules, verify_lemma_x, verify_lemma_y,
+                      verify_lemma_right, verify_product_relation)
 from .diagram import DecoratedCycleGraph, cycle_graph_from_params
 from .presentation import (AbelianInvariants, cycle_presentation,
                            relator_sets_equal, smith_normal_form)
@@ -557,21 +557,23 @@ def certify_cycle_non_lo(d):
                   [format_word(x1 * y0, fold=False)]
         steps.append(SignStep(r_right, +1, "product_of_positives", (1, 4),
                               {"factors": factors}))
-    # lemma right writes y0 as a positive word in y_cn and r_right
-    w0 = right_words(a, b)[0][0]
-    ycn_text, r_text = format_word(ycn, fold=False), format_word(r_right, fold=False)
-    factors = [r_text if sym == QR else ycn_text for sym, _ in w0.letters]
+    # lemma right writes y0 as W0, a positive word in y_cn and r_right
+    # given by straight-line rules
+    factors = [format_word(ycn, fold=False), format_word(r_right, fold=False)]
+    rules = [[name, format_word(body, fold=False)] for name, body in right_rules(a, b)]
     steps.append(SignStep(y0, +1, "product_of_positives", (1, 5),
-                          {"factors": factors, "via": "lemma_right",
-                           "marker_word": format_word(w0, fold=False)}))
+                          {"factors": factors, "via": "lemma_right", "rules": rules}))
     return NonLOCertificate(m, a, b, case, wlog, steps, (0, len(steps) - 1))
 
 
 def verify_certificate(cert_json, pres):
     """Recheck a certificate against a presentation, from the JSON alone.
 
-    Re-derives every lemma fact from the parameters once, re-checks every
-    sign inference, and confirms the contradiction.  Returns (ok, problems).
+    Re-derives every lemma fact from the parameters once, checks the
+    lemma-right rules the certificate carries against the arc relators,
+    re-checks every sign inference, and confirms the contradiction.
+    Returns (ok, problems); malformed input is a problem, never an
+    exception.
     """
     problems = []
     try:
@@ -586,9 +588,10 @@ def verify_certificate(cert_json, pres):
     if not d.hypothesis_ok():
         problems.append("hypothesis fails for the stated parameters")
     try:
+        segments = verify_lemma_y(d.a, d.b)
+        verify_product_relation(d, segments)
         lemmas = {
-            "product": verify_product_relation(d).results,
-            "right_words": verify_lemma_right(d)[1],
+            "segments": segments,
             "lemma_x": verify_lemma_x(d.m, d.cn) if d.m > 1 else None,
             "wlog": _wlog_record(d),
         }
@@ -604,8 +607,10 @@ def verify_certificate(cert_json, pres):
         return False, ["malformed steps: %s" % e]
 
     for idx, step in enumerate(steps):
-        if any(p >= idx or p < 0 for p in step[3]):
-            problems.append("step %d cites an out-of-range step" % idx)
+        bad = [p for p in step[3] if type(p) is not int or not 0 <= p < idx]
+        if bad:
+            problems.append("step %d cites %r, which is not an earlier step"
+                            % (idx, bad[0]))
             continue
         try:
             _check_step(problems, d, cert_json, steps, idx, lemmas)
@@ -638,17 +643,13 @@ def _check_step(problems, d, cert_json, steps, idx, lemmas):
         if steps[i][0].inverse() != element or steps[i][1] != -sign:
             problems.append("step %d: bad inversion" % idx)
     elif rule == "product_forces_positive":
-        # w0 ... wn = 1 with every w_k positive over {y0, qL} and y0
-        # strictly negative somewhere, so qL must be positive
+        # W0^a0 ... Wn^an = 1 with every Wk positive over {y0, qL} and y0
+        # in it (verify_product_relation), and y0 negative, so qL must be
+        # positive
         if element != x1 * y0 ** (a[0] - 1):
             problems.append("step %d: element is not x1 y0^(a0-1)" % idx)
         if not any(s[0] == y0 and s[1] == -1 for s in steps[:idx]):
             problems.append("step %d: needs y0 negative" % idx)
-        for k, wk in enumerate(lemmas["product"]["words"]):
-            if not wk.is_positive():
-                problems.append("left word %d not positive" % k)
-        if lemmas["product"]["product"].count("y0") == 0:
-            problems.append("step %d: no strict factor in the product" % idx)
         if sign != 1:
             problems.append("step %d: wrong sign" % idx)
     elif rule == "product_of_positives":
@@ -664,11 +665,17 @@ def _check_step(problems, d, cert_json, steps, idx, lemmas):
                                 % (idx, format_word(f, fold=False)))
         via = payload.get("via")
         if via == "lemma_right":
-            w0 = lemmas["right_words"][0]
-            r_right = ycn ** (a[-1] - 1) * xm1
-            expected = [ycn if sym != QR else r_right for sym, _ in w0.letters]
-            if element != y0 or not w0.is_positive() or factors != expected:
-                problems.append("step %d: lemma-right discharge failed" % idx)
+            # the rules make W0 a positive word in y_cn and qR that equals
+            # y0, so y0 is a product of the two factors
+            rules = [(name, parse_word(text)) for name, text in payload["rules"]]
+            try:
+                checked, _ = verify_lemma_right(d, rules, lemmas["segments"])
+            except RewriteError as e:
+                problems.append("step %d: lemma-right rules fail: %s" % (idx, e))
+            else:
+                if element != y0 or "W0" not in checked or \
+                        factors != [ycn, ycn ** (a[-1] - 1) * xm1]:
+                    problems.append("step %d: lemma-right discharge failed" % idx)
         else:
             prod = FreeWord([x for f in factors for x in f.letters])
             if via is None:

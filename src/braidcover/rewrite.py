@@ -3,13 +3,19 @@
 Words live in the free group on named generators and are always stored
 freely reduced.  The verifiers in the second half of this module rebuild,
 by explicit generator elimination, the closed forms used to order-obstruct
-the cycle-form presentations: the x-path telescopes, the y-segment
-telescopes (forward and backward), and the two-element expressions for the
-marked y-generators from either end of the cycle.  Every derived word is
-compared against its closed form or against an elimination, and any
-mismatch raises RewriteError.  The global product relation is not expanded
-again: it follows from the checked left words, because expansion is a
-homomorphism.
+the cycle-form presentations: the x-path telescopes and the y-segment
+telescopes (forward and backward).  The two end lemmas write every marked
+y-generator as a positive word over a two-letter alphabet, from either end
+of the cycle.  Those words grow exponentially in the number of segments,
+so they are kept as straight-line programs: named rules Wk (for y_{c_k})
+and Dk (a difference of neighbours), each body a short word over the
+alphabet and earlier names.  check_rules checks each rule by one local
+identity against the arc relators (an end relator, a segment telescope, a
+marked relator) with the earlier names kept opaque, so no lemma word is
+expanded.  The product relation is the root relator written over the
+names.  Every failed check raises RewriteError.  left_elimination and
+right_elimination, the full expansions by elimination, are not on the
+checking path; the tests compare the rules' expansions with them.
 """
 
 from __future__ import annotations
@@ -348,13 +354,16 @@ def verify_lemma_y(a, b):
         B = y_{c_k - 1}.
     Both are derived by eliminating through the unmarked relators and the two
     backward shapes are checked against each other and against the forward
-    form expressed in the same generators.
+    form expressed in the same generators.  The results map "forward" and
+    "backward" to {k: {y_i: its form}} for every segment k; the lemma rules
+    are checked through them.
     """
     n = len(b)
     if n < 1:
         raise ValueError("need n >= 1")
     w = FreeWord.gen
     c = prefix_sums(b)
+    forms = {"forward": {}, "backward": {}}
     for k in range(1, n + 1):
         lo, hi = c[k - 1], c[k]
         A = w("y%d" % (lo + 1))
@@ -364,9 +373,9 @@ def verify_lemma_y(a, b):
             expr = solve_relation(_unmarked_relator(i), "y%d" % (i + 1))
             expr = expr.substitute({"y%d" % i: fwd[i], "y%d" % (i - 1): fwd[i - 1]})
             fwd[i + 1] = expr
+        step = A * ylo.inverse()
         for i in range(lo, hi + 1):
-            want = (A * ylo.inverse()) ** (i - lo - 1) * A
-            if fwd[i] != want:
+            if fwd[i] != step ** (i - lo - 1) * A:
                 raise RewriteError("forward form fails in segment %d at i=%d" % (k, i))
         B = w("y%d" % (hi - 1))
         yhi = w("y%d" % hi)
@@ -375,9 +384,10 @@ def verify_lemma_y(a, b):
             expr = solve_relation(_unmarked_relator(i), "y%d" % (i - 1))
             expr = expr.substitute({"y%d" % i: bwd[i], "y%d" % (i + 1): bwd[i + 1]})
             bwd[i - 1] = expr
+        step1, step2 = B * yhi.inverse(), yhi.inverse() * B
         for i in range(lo, hi + 1):
-            want1 = (B * yhi.inverse()) ** (hi - i - 1) * B
-            want2 = B * (yhi.inverse() * B) ** (hi - i - 1)
+            want1 = step1 ** (hi - i - 1) * B
+            want2 = B * step2 ** (hi - i - 1)
             if bwd[i] != want1 or want1 != want2:
                 raise RewriteError("backward form fails in segment %d at i=%d" % (k, i))
         # cross-check inside the forward block: the backward expressions,
@@ -387,7 +397,9 @@ def verify_lemma_y(a, b):
         for i in range(lo, hi + 1):
             if bwd[i].substitute(base) != fwd[i]:
                 raise RewriteError("forward/backward mismatch in segment %d at i=%d" % (k, i))
-    return ProofTranscript("y")
+        forms["forward"][k] = {"y%d" % i: f for i, f in fwd.items()}
+        forms["backward"][k] = {"y%d" % i: f for i, f in bwd.items()}
+    return ProofTranscript("y", forms)
 
 
 # The derivations below never use the relators of the x path, of y_cn, or
@@ -456,108 +468,176 @@ def right_alphabet(m, a, cn):
                 * FreeWord.gen(right_x_symbol(m))}
 
 
-def left_words(a, b):
-    """The left lemma's recursion over the alphabet {y0, qL}.
+def left_rules(a, b):
+    """The left lemma as a straight-line program over the alphabet {y0, qL}.
 
-    Returns (words, diffs): words[k] stands for y_{c_k}, and diffs[k] for
-    y_{c_k + 1} y_{c_k}^-1 (k < n).
+    Returns [(name, body), ...] in order: W0 = y0, D0 = qL, and for
+    k = 1..n
+        Wk = D(k-1)^b_k W(k-1),   standing for y_{c_k},
+        Dk = D(k-1) Wk^a_k,       standing for y_{c_k + 1} y_{c_k}^-1 (k < n).
+    Each body is a positive word over the alphabet and earlier names.
     """
     n = len(b)
-    words = [FreeWord.gen("y0")] + [None] * n
-    diffs = [FreeWord.gen(QL)] + [None] * n
+    g = FreeWord.gen
+    rules = [("W0", g("y0")), ("D0", g(QL))]
     for k in range(1, n + 1):
-        # y_{c_k} = (y_{c_{k-1}+1} y_{c_{k-1}}^-1)^{b_k} y_{c_{k-1}}
-        words[k] = diffs[k - 1] ** b[k - 1] * words[k - 1]
+        rules.append(("W%d" % k, g("D%d" % (k - 1), b[k - 1]) * g("W%d" % (k - 1))))
         if k < n:
-            diffs[k] = diffs[k - 1] * words[k] ** a[k]
-    return words, diffs
+            rules.append(("D%d" % k, g("D%d" % (k - 1)) * g("W%d" % k, a[k])))
+    return rules
 
 
-def right_words(a, b):
-    """The right lemma's recursion over the alphabet {y_cn, qR}, shared by
-    the certificate builder and its check.
+def right_rules(a, b):
+    """The mirror of left_rules, over {y_cn, qR} from the other end.
 
-    Returns (words, diffs): words[k] stands for y_{c_k}, and diffs[k] for
-    y_{c_k}^-1 y_{c_k - 1} (k >= 1).
+    Wn = y_cn, Dn = qR, and for k = n-1..0
+        Wk = W(k+1) D(k+1)^b_{k+1},  standing for y_{c_k},
+        Dk = Wk^a_k D(k+1),          standing for y_{c_k}^-1 y_{c_k - 1} (k > 0).
     """
     n = len(b)
-    words = [None] * n + [FreeWord.gen("y%d" % sum(b))]
-    diffs = [None] * n + [FreeWord.gen(QR)]
+    g = FreeWord.gen
+    rules = [("W%d" % n, g("y%d" % sum(b))), ("D%d" % n, g(QR))]
     for k in range(n - 1, -1, -1):
-        # y_{c_k} = y_{c_{k+1}} (y_{c_{k+1}}^-1 y_{c_{k+1}-1})^{b_{k+1}}
-        words[k] = words[k + 1] * diffs[k + 1] ** b[k]
+        rules.append(("W%d" % k, g("W%d" % (k + 1)) * g("D%d" % (k + 1), b[k])))
         if k > 0:
-            diffs[k] = words[k] ** a[k] * diffs[k + 1]
-    return words, diffs
+            rules.append(("D%d" % k, g("W%d" % k, a[k]) * g("D%d" % (k + 1))))
+    return rules
 
 
-def _verify_end_lemma(d, side, eliminate, recurse, alpha):
-    """Check one end lemma: expand the words of `recurse` through `alpha`
-    and compare them with `eliminate`, which solves the arc relators from
-    the same end.  words[k] must give y_{c_k} and be positive, and diffs[k]
-    the difference of y_{c_k} with its neighbour toward the other end.
-    Returns (elimination, words)."""
-    a, b = list(d.a), list(d.b)
-    if len(b) < 1:
-        raise ValueError("need n >= 1")
-    elim = eliminate(d.m, a, b)
-    y = lambda i: elim.results["y%d" % i]
-    words, diffs = recurse(a, b)
-    c = d.c
-    for k, word in enumerate(words):
-        if word.substitute(alpha) != y(c[k]):
-            raise RewriteError("%s word fails at k=%d" % (side, k))
-        if not word.is_positive():
-            raise RewriteError("%s word not positive at k=%d" % (side, k))
-    for k, diff in enumerate(diffs):
-        if diff is None:
-            continue
-        want = y(c[k] + 1) * y(c[k]).inverse() if side == "left" \
-            else y(c[k]).inverse() * y(c[k] - 1)
-        if diff.substitute(alpha) != want:
-            raise RewriteError("%s difference fails at k=%d" % (side, k))
-    return elim, words
+def _rule_targets(d, side, segments):
+    """What each symbol of one side's rules stands for, and how its rule is
+    checked: {symbol: (word over the arc generators, substitution)}.
 
-
-def verify_lemma_left(d):
-    """Positive words in {y0, x1 y0^(a0-1)} for every marked y, validated
-    letter-for-letter against the left elimination.
-
-    Returns (elimination, words) where words[k] is the expression for
-    y_{c_k} over the marker alphabet {y0, qL}, and elimination is the
-    left_elimination the words were checked against.
+    The letters of the alphabet have no substitution.  A name's
+    substitution rewrites the generators its rule involves by the arc
+    relators: the end relator for D0 (Dn on the right), the segment
+    telescope of verify_lemma_y for Wk (forward on the left, backward on
+    the right; `segments` is that lemma's transcript), and that telescope
+    with the marked relator at y_{c_k} for the other Dk.
     """
-    return _verify_end_lemma(d, "left", left_elimination, left_words,
-                             left_alphabet(d.a))
+    a, c, n, cn = d.a, d.c, d.n, d.cn
+    y = lambda i: FreeWord.gen("y%d" % i)
+    solve = lambda r, i: solve_relation(r, "y%d" % i)
+    if side == "left":
+        segments = segments.results["forward"]
+        out = {s: (word, None) for s, word in left_alphabet(a).items()}
+        out["W0"] = (y(0), {})
+        out["D0"] = (y(1) * y(0).inverse(),
+                     {"y1": solve(_end_relator(0, a[0], LEFT_X), 1)})
+        for k in range(1, n + 1):
+            hi, seg = c[k], segments[k]
+            out["W%d" % k] = (y(hi), seg)
+            if k < n:
+                up = solve(_marked_relator(a[k], hi), hi + 1).substitute(seg)
+                out["D%d" % k] = (y(hi + 1) * y(hi).inverse(),
+                                  dict(seg, **{"y%d" % (hi + 1): up}))
+    else:
+        segments = segments.results["backward"]
+        out = {s: (word, None) for s, word in right_alphabet(d.m, a, cn).items()}
+        out["W%d" % n] = (y(cn), {})
+        out["D%d" % n] = (y(cn).inverse() * y(cn - 1),
+                          {"y%d" % (cn - 1): solve(
+                              _end_relator(cn, a[n], right_x_symbol(d.m)), cn - 1)})
+        for k in range(n - 1, -1, -1):
+            lo, seg = c[k], segments[k + 1]
+            out["W%d" % k] = (y(lo), seg)
+            if k > 0:
+                down = solve(_marked_relator(a[k], lo), lo - 1).substitute(seg)
+                out["D%d" % k] = (y(lo).inverse() * y(lo - 1),
+                                  dict(seg, **{"y%d" % (lo - 1): down}))
+    return out
 
 
-def verify_lemma_right(d):
+def check_rules(d, side, rules, segments=None):
+    """Check one side's lemma rules one at a time, each by one local identity.
+
+    `rules` is [(name, body), ...].  A body may use the side's alphabet and
+    the names whose rules come before it, and must be a nonempty positive
+    word.  Each name stands for a word over the arc generators
+    (_rule_targets).  Its rule holds when that word and the body, with
+    every symbol replaced by what it stands for, agree once the rule's
+    substitution has rewritten both.  The substitutions come from the arc
+    relators, so each rule holds in the group, and by induction every name
+    expands to a positive word over the alphabet that equals what the name
+    stands for.  Earlier names stay opaque: no body is expanded, so the
+    cost is polynomial in the parameters.  `segments` is verify_lemma_y's
+    transcript for d, derived here when not given.  Raises RewriteError at
+    the first rule that fails.  Returns ({name: body}, words), words[i]
+    being the word both sides of the i-th rule were rewritten to.
+    """
+    if not rules:
+        raise RewriteError("%s rules: none given" % side)
+    targets = _rule_targets(d, side, segments or verify_lemma_y(d.a, d.b))
+    stands = {s: word for s, (word, sub) in targets.items() if sub is None}
+    names = {name for name, _ in rules}
+    checked, words = {}, []
+    for name, body in rules:
+        if name not in targets or targets[name][1] is None:
+            raise RewriteError("%s rules: no rule %s on this side" % (side, name))
+        if name in checked:
+            raise RewriteError("%s rules: %s has two rules" % (side, name))
+        for sym, _ in body.letters:
+            if sym in stands:
+                continue
+            why = "itself" if sym == name else \
+                "%s, defined after it" % sym if sym in names else \
+                "%s, which has no rule" % sym if sym in targets else \
+                "unknown symbol %s" % sym
+            raise RewriteError("%s rule %s refers to %s" % (side, name, why))
+        if not body or not body.is_positive():
+            raise RewriteError("%s rule %s is not a nonempty positive word" % (side, name))
+        word, sub = targets[name]
+        got = body.substitute(stands).substitute(sub)
+        if got != word.substitute(sub):
+            raise RewriteError("%s rule %s fails" % (side, name))
+        stands[name] = word
+        checked[name] = body
+        words.append(got)
+    return checked, words
+
+
+def verify_lemma_left(d, segments=None):
+    """Positive words in {y0, x1 y0^(a0-1)} for every marked y, as the
+    rules of left_rules, each checked against the arc relators by
+    check_rules (`segments` as there).  Returns check_rules' (rules,
+    words); rules["Wk"] is the body of the rule for y_{c_k}.
+    """
+    return check_rules(d, "left", left_rules(d.a, d.b), segments)
+
+
+def verify_lemma_right(d, rules=None, segments=None):
     """Mirror of the left lemma: positive words in {y_cn, y_cn^(an-1) x_{m-1}}.
 
-    The words come from right_words, the recursion the certificate builder
-    also uses; they are validated against right_elimination, which solves
-    the arc relators on its own.  Returns (elimination, words).
+    Checks `rules` ([(name, body), ...], as a certificate carries them), or
+    right_rules when none are given, by check_rules (`segments` as there).
+    Returns (rules, words).
     """
-    return _verify_end_lemma(d, "right", right_elimination, right_words,
-                             right_alphabet(d.m, d.a, d.cn))
+    return check_rules(d, "right", right_rules(d.a, d.b) if rules is None else rules,
+                       segments)
 
 
-def verify_product_relation(d):
-    """w_0^a0 w_1^a1 ... w_n^an = 1, where w_k expresses y_{c_k} over {y0, qL}.
+def verify_product_relation(d, segments=None):
+    """W0^a0 W1^a1 ... Wn^an = 1 over the names of the left rules.
 
-    Derived from the checked word identities, not expanded again: w_0 = y0,
-    and verify_lemma_left checked that each w_k expands to the left
-    elimination of y_{c_k}.  Expansion is a homomorphism, so the product
-    expands to the eliminated image of root_relator(a, b)^-1, the inverted
-    z_rel, which is 1 in the group.  Left to check is the shape the
-    certificate needs: a nonempty positive word that mentions y0.  The
-    results hold the product and the left words.  A cycle with n = 0
-    raises ValueError from verify_lemma_left.
+    This is the root relator y_cn^-a_n ... y_0^-a_0, inverted, with each
+    y_{c_k} written Wk: verify_lemma_left checked that Wk equals y_{c_k}
+    in the group, and the root relator is 1 there.  Left to check is the
+    shape the certificate needs.  Every rule is positive (check_rules
+    checked them one by one), so the product expands to a nonempty
+    positive word.  It must mention y0, which is read off the rules: a
+    name mentions y0 when its body mentions y0 or a name that does.  The
+    results hold the product and the left rules.  `segments` is passed to
+    verify_lemma_left.  A cycle with n = 0 raises ValueError from
+    verify_lemma_left.
     """
-    _, yw = verify_lemma_left(d)
-    product = FreeWord([x for wk, ak in zip(yw, d.a) for x in (wk ** ak).letters])
-    if not product.is_positive() or product.is_identity():
-        raise RewriteError("product word must be a nonempty positive word")
-    if product.count("y0") == 0:
+    rules, _ = verify_lemma_left(d, segments)
+    product = FreeWord([("W%d" % k, 1) for k, ak in enumerate(d.a) for _ in range(ak)])
+    if not product.symbols() <= rules.keys():
+        raise RewriteError("product word refers to a name with no left rule")
+    mentions = {"y0"}
+    for name, body in rules.items():
+        if body.symbols() & mentions:
+            mentions.add(name)
+    if not product.symbols() & mentions:
         raise RewriteError("product word must mention y0")
-    return ProofTranscript("product", {"product": product, "words": yw})
+    return ProofTranscript("product", {"product": product, "rules": rules})

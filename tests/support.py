@@ -1,8 +1,9 @@
 """Helpers only the tests use: graph isomorphism, presentation edits, a
 determinant oracle, the Smith diagonal from determinantal divisors, braid
-rotation, the family (1) normalizer dispatch, a coset table printout, and
-the references the faster code must reproduce: the letter-tuple twist
-search and the Tietze simplification that printed every relator."""
+rotation, the family (1) normalizer dispatch, a coset table printout, the
+expansion of straight-line lemma rules, and the references the faster code
+must reproduce: the letter-tuple twist search and the Tietze
+simplification that printed every relator."""
 
 import itertools
 from math import gcd
@@ -131,6 +132,16 @@ def normalize_type1(w):
     if c.d == -1:
         return normalize_type1_dm1(w)
     raise NormalizationError("d = 0 braids are alternating; nothing to normalize")
+
+
+def expand_rules(rules, alphabet):
+    """Every name of a straight-line program ([(name, body), ...] or
+    {name: body}), expanded to a word over the words of `alphabet`; the
+    result maps the alphabet's letters and every name."""
+    out = dict(alphabet)
+    for name, body in dict(rules).items():
+        out[name] = body.substitute(out)
+    return out
 
 
 def dump_coset_table(table):

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, one PASS line each.
 
-Criterion 1 runs the full parameter grid for n <= 3 and a deterministic
-600-tuple sample at n = 4; the full n = 4 grid (about 20k tuples) cannot
-fit the one-minute budget in pure Python, and the suite documents that
-trade-off while still covering far more than 500 instances.
+Criterion 1 runs the full parameter grid for n <= 4, a_i and b_i in 1..3:
+22,140 tuples, 19,683 of them at n = 4, inside its one-minute budget.  The
+lemma rules are checked one local identity at a time, so no lemma word is
+expanded and a tuple costs about a millisecond.
 """
 
 import itertools
@@ -19,8 +19,7 @@ from braidcover.presentation import (GroupPresentation, greene_presentation,
                                      cycle_presentation, abelianize,
                                      tietze_simplify)
 from braidcover.rewrite import (FreeWord, verify_lemma_x, verify_lemma_y,
-                                verify_lemma_left, verify_lemma_right,
-                                verify_product_relation)
+                                verify_lemma_right, verify_product_relation)
 from braidcover.ordercheck import (certify_cycle_non_lo,
                                    verify_certificate, todd_coxeter,
                                    positive_cone_search)
@@ -47,27 +46,18 @@ def test_criterion_1_lemma_replay_suite():
         verify_lemma_x(m)
     count = 0
     ms = itertools.cycle(range(1, 7))
-    for a, b in _ab_grid(3):
-        m = next(ms)
-        d = DecoratedCycleGraph(m, a, b)
-        verify_lemma_y(a, b)
-        verify_lemma_left(d)
-        verify_lemma_right(d)
-        verify_product_relation(d)
-        count += 1
-    rng = random.Random(2026)
-    n4 = list(_ab_grid(4))
-    n4 = [t for t in n4 if len(t[1]) == 4]
-    for a, b in rng.sample(n4, 600):
-        m = rng.randint(1, 6)
-        d = DecoratedCycleGraph(m, a, b)
-        verify_lemma_y(a, b)
-        verify_lemma_left(d)
-        verify_lemma_right(d)
-        verify_product_relation(d)
-        count += 1
+    for n in range(1, 5):
+        for b in itertools.product(range(1, 4), repeat=n):
+            # the y lemma reads b alone, so its segment forms serve every a
+            segments = verify_lemma_y((1,) * (n + 1), b)
+            for a in itertools.product(range(1, 4), repeat=n + 1):
+                d = DecoratedCycleGraph(next(ms), a, b)
+                verify_lemma_right(d, None, segments)
+                # checks the left rules through verify_lemma_left
+                verify_product_relation(d, segments)
+                count += 1
     elapsed = time.time() - t0
-    assert count >= 500
+    assert count == 27 + 243 + 2187 + 19683
     assert elapsed < 60, "lemma suite took %.1fs" % elapsed
     _report(1, "lemma x (m <= 8) and y/left/right/product on %d instances "
                "in %.1fs" % (count, elapsed))

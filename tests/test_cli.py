@@ -153,10 +153,12 @@ def count_calls(monkeypatch, names):
     return calls
 
 
-# right_words runs in the certificate builder and in its check
-CERTIFIED = {"verify_certificate": 1, "verify_lemma_left": 1, "left_elimination": 1,
-             "verify_lemma_right": 1, "verify_product_relation": 1,
-             "left_words": 1, "right_words": 2}
+# the builder writes the right rules into the certificate and its check
+# reads them from there; no lemma word is expanded
+CERTIFIED = {"verify_certificate": 1, "verify_lemma_left": 1, "left_elimination": 0,
+             "right_elimination": 0, "verify_lemma_right": 1,
+             "verify_product_relation": 1, "left_rules": 1, "right_rules": 1,
+             "check_rules": 2, "verify_lemma_y": 1}
 FAMILY1 = dict(CERTIFIED, twist_search=2, classify_baldwin=2, expand_fulltwist=2,
                greene_presentation=1, cycle_relators=2)
 FINITE = {"twist_search": 1, "classify_baldwin": 1, "expand_fulltwist": 1,
@@ -263,7 +265,15 @@ def test_batch_workers_deterministic(tmp_path):
     grid = tmp_path / "grid.txt"
     grid.write_text("h s1 s2^-2 s1 s2^-2\n(3; 1,1,1; 1,1)\nh s2^4\nh^-1 s1 s2^-2\n")
     lines = grid.read_text().splitlines()
+    # a mixed batch long enough that each worker takes chunks of lines
+    for k in range(1, 7):
+        lines += ["h" + " s1 s2^-2" * k, "h^-1" + " s1 s2^-2" * k,
+                  "h s2^%d" % k, "h^-1 s2^%d" % (k + 2),
+                  "(%d; %s; %s)" % (k % 3 + 1, ",".join(["2"] * (k + 1)),
+                                    ",".join(["1"] * k)),
+                  "s1 s2^%d" % k, "bogus %d" % k, "(1; 1,1; 1)"]
     seq = run_batch(lines, workers=1)
+    assert seq[1]["ok"] > 20 and seq[1]["input_error"] == 6
     par = run_batch(lines, workers=2)
     assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
 

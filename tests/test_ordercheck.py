@@ -318,6 +318,72 @@ def test_certificate_tampering_detected():
     assert verify_certificate(bad, pres) == (
         False, ["hypothesis fails for the stated parameters: n = 0"])
 
+    bad = copy.deepcopy(cert)
+    bad["steps"][2]["premises"] = ["0"]     # a premise that is not a step index
+    assert verify_certificate(bad, pres) == (
+        False, ["step 2 cites '0', which is not an earlier step"])
+
+
+# the right rules of (3; 2,1,2; 1,2) are W2 = y3, D2 = qR, W1 = W2 D2^2,
+# D1 = W1 D2 and W0 = W1 D1; each tampering names the problem it must give
+RULE_TAMPERING = [
+    ("exponent", {2: ["W1", "W2 D2^3"]}, "right rule W1 fails"),
+    ("forward", {2: ["W1", "W0 D2^2"]}, "right rule W1 refers to W0, defined after it"),
+    ("self", {3: ["D1", "D1 D2"]}, "right rule D1 refers to itself"),
+    ("cyclic", {2: ["W1", "D1"], 3: ["D1", "W1 D2"]},
+     "right rule W1 refers to D1, defined after it"),
+    ("unknown", {4: ["W0", "W1 Q1"]}, "right rule W0 refers to unknown symbol Q1"),
+    ("terminal", {4: ["W0", "y0"]}, "right rule W0 refers to unknown symbol y0"),
+    ("negative", {4: ["W0", "W1 D1^-1"]}, "right rule W0 is not a nonempty positive word"),
+    ("empty", {4: ["W0", "1"]}, "right rule W0 is not a nonempty positive word"),
+    ("twice", {3: ["W1", "W2 D2^2"]}, "right rules: W1 has two rules"),
+    ("other side", {3: ["D0", "W1 D2"]}, "right rules: no rule D0 on this side"),
+]
+
+
+@pytest.mark.parametrize("edits, want", [t[1:] for t in RULE_TAMPERING],
+                         ids=[t[0] for t in RULE_TAMPERING])
+def test_certificate_rule_tampering_detected(edits, want):
+    d = DecoratedCycleGraph(3, (2, 1, 2), (1, 2))
+    cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+    rules = cert["steps"][6]["payload"]["rules"]
+    for i, rule in edits.items():
+        rules[i] = rule
+    assert verify_certificate(cert, pres) == (
+        False, ["step 6: lemma-right rules fail: " + want])
+
+
+def test_certificate_rules_must_reach_y0():
+    d = DecoratedCycleGraph(3, (2, 1, 2), (1, 2))
+    cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+    payload = cert["steps"][6]["payload"]
+    for rules in ([], payload["rules"][:-1]):   # none, or no rule for W0
+        payload["rules"] = rules
+        ok, problems = verify_certificate(cert, pres)
+        assert not ok and len(problems) == 1 and problems[0].startswith("step 6: ")
+    for rules in ("nonsense", [["W2"]], [[["W2"], "y3"]], [["W2", 7]]):
+        payload["rules"] = rules
+        ok, problems = verify_certificate(cert, pres)
+        assert not ok and problems[0].startswith("step 6: malformed"), rules
+
+
+def _ladder_certificate_bytes(n):
+    """Canonical bytes of the rechecked certificate of the ladder cycle,
+    m = 3, a = (1,)*(n+1), b = (1, 2, ..., 2, 1)."""
+    d = DecoratedCycleGraph(3, (1,) * (n + 1), (1,) + (2,) * (n - 2) + (1,))
+    cert = certify_cycle_non_lo(d).to_json()
+    assert verify_certificate(cert, cycle_presentation(d)) == (True, [])
+    return len(json.dumps(cert, sort_keys=True, separators=(",", ":")))
+
+
+def test_certificate_size_grows_linearly_on_the_ladder():
+    # the lemma-right rules are O(n); the factor list they replaced had
+    # one entry per letter of a word that grew about 4x per unit of n
+    size = {n: _ladder_certificate_bytes(n) for n in (8, 16, 32)}
+    assert size[16] - size[8] <= 64 * 8
+    assert size[32] - size[16] <= 64 * 16
+    assert _ladder_certificate_bytes(50) <= size[32] + 64 * 18
+
 
 def test_certificates_for_both_normalizer_shapes():
     # d = 1 normalizations give m > 2 / case 1; d = -1 give m = 1 / case 2

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidcover import rewrite
 from braidcover.rewrite import (FreeWord, RewriteError,
@@ -10,10 +11,11 @@ from braidcover.rewrite import (FreeWord, RewriteError,
                                 verify_lemma_left, verify_lemma_right,
                                 verify_product_relation,
                                 left_elimination, right_elimination,
-                                left_alphabet, QL, QR)
+                                left_alphabet, right_alphabet, QL, QR)
 from braidcover.diagram import DecoratedCycleGraph
 from braidcover.ordercheck import certify_cycle_non_lo, verify_certificate
 from braidcover.presentation import cycle_presentation
+from support import expand_rules
 
 w = FreeWord.gen
 
@@ -121,22 +123,25 @@ def test_lemma_y_forward_backward_agreement():
 
 def test_lemma_left_examples():
     d = DecoratedCycleGraph(1, (2, 2), (1,))
-    _, words = verify_lemma_left(d)
-    assert [format_word(v, fold=False) for v in words] == ["y0", "qL y0"]
-    assert all(v.is_positive() for v in words)
+    rules, _ = verify_lemma_left(d)
+    assert {k: format_word(v, fold=False) for k, v in rules.items()} == \
+        {"W0": "y0", "D0": "qL", "W1": "D0 W0"}
+    words = expand_rules(rules, {"y0": w("y0"), QL: w(QL)})
+    assert [format_word(words[k], fold=False) for k in ("W0", "W1")] == ["y0", "qL y0"]
+    assert all(v.is_positive() for v in rules.values())
 
 
 def test_lemma_left_k0_trivial():
     d = DecoratedCycleGraph(2, (1, 1), (1,))
-    _, words = verify_lemma_left(d)
-    assert words[0] == w("y0")
+    rules, _ = verify_lemma_left(d)
+    assert rules["W0"] == w("y0")
 
 
 def test_lemma_right_base():
     d = DecoratedCycleGraph(3, (1, 1, 1), (1, 1))
-    _, words = verify_lemma_right(d)
-    assert words[-1] == w("y2")
-    assert all(v.is_positive() for v in words)
+    rules, _ = verify_lemma_right(d)
+    assert rules["W2"] == w("y2")
+    assert all(v.is_positive() for v in rules.values())
 
 
 def test_product_relation_examples():
@@ -149,16 +154,14 @@ def test_product_relation_rejects_degenerate():
         verify_product_relation(DecoratedCycleGraph(2, (1,), ()))
 
 
-def _tampered(words_fn, swap):
-    """words_fn with the first letter of its longest word swapped for the
-    other letter of the alphabet, which keeps the word positive."""
+def _tampered(rules_fn):
+    """rules_fn with the body of its last rule multiplied by its own first
+    letter, which keeps it positive and its references earlier."""
     def tampered(a, b):
-        words, diffs = words_fn(a, b)
-        k = max(range(len(words)), key=lambda j: len(words[j]))
-        (sym, sign), rest = words[k].letters[0], words[k].letters[1:]
-        words = list(words)
-        words[k] = FreeWord(((swap[sym], sign),) + rest)
-        return words, diffs
+        rules = list(rules_fn(a, b))
+        name, body = rules[-1]
+        rules[-1] = (name, body * FreeWord(body.letters[:1]))
+        return rules
     return tampered
 
 
@@ -166,21 +169,22 @@ def _tampered(words_fn, swap):
 def test_tampered_lemma_word_is_rejected(monkeypatch, side):
     d = DecoratedCycleGraph(3, (2, 1, 2), (1, 2))
     cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+    fn = getattr(rewrite, "%s_rules" % side)
+    monkeypatch.setattr(rewrite, "%s_rules" % side, _tampered(fn))
     if side == "left":
-        fn, swap = rewrite.left_words, {"y0": QL, QL: "y0"}
         checks = (verify_lemma_left, verify_product_relation)
+        want = "lemma replay failed: left rule W2 fails"
     else:
-        ycn = "y%d" % d.cn
-        fn, swap = rewrite.right_words, {ycn: QR, QR: ycn}
+        # the check reads the right rules from the certificate
         checks = (verify_lemma_right,)
-    monkeypatch.setattr(rewrite, "%s_words" % side, _tampered(fn, swap))
+        cert["steps"][-1]["payload"]["rules"] = [
+            [name, format_word(body, fold=False)]
+            for name, body in rewrite.right_rules(d.a, d.b)]
+        want = "step 6: lemma-right rules fail: right rule W0 fails"
     for check in checks:
-        with pytest.raises(RewriteError, match="%s word fails" % side):
+        with pytest.raises(RewriteError, match="%s rule W. fails" % side):
             check(d)
-    ok, problems = verify_certificate(cert, pres)
-    assert not ok
-    assert len(problems) == 1
-    assert problems[0].startswith("lemma replay failed: %s word fails" % side)
+    assert verify_certificate(cert, pres) == (False, [want])
 
 
 def test_product_relation_expands_nothing_beyond_its_left_check(monkeypatch):
@@ -222,12 +226,42 @@ def test_left_and_right_words_expand_to_same_element():
     # expansion its right ground truth, which were derived from the same
     # relators in opposite orders
     d = DecoratedCycleGraph(4, (2, 1, 2), (1, 2))
-    tl, lw = verify_lemma_left(d)
-    tr, rw = verify_lemma_right(d)
-    el = left_elimination(d.m, d.a, d.b)
-    c = d.c
-    for k in range(d.n + 1):
-        assert lw[k].substitute(left_alphabet(d.a)) == el.results["y%d" % c[k]]
+    left = expand_rules(verify_lemma_left(d)[0], left_alphabet(d.a))
+    right = expand_rules(verify_lemma_right(d)[0], right_alphabet(d.m, d.a, d.cn))
+    el = left_elimination(d.m, d.a, d.b).results
+    er = right_elimination(d.m, d.a, d.b).results
+    for k, ck in enumerate(d.c):
+        assert left["W%d" % k] == el["y%d" % ck]
+        assert right["W%d" % k] == er["y%d" % ck]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.integers(1, 5), st.tuples(*[st.integers(1, 4)] * (n + 1)),
+    st.tuples(*[st.integers(1, 4)] * n))))
+def test_rules_expand_to_the_eliminations(params):
+    # the full expansions are the cross-check: every name of either side's
+    # rules, expanded over its alphabet, is the elimination of what it
+    # stands for
+    m, a, b = params
+    d = DecoratedCycleGraph(m, a, b)
+    left = expand_rules(verify_lemma_left(d)[0], left_alphabet(a))
+    right = expand_rules(verify_lemma_right(d)[0], right_alphabet(m, a, d.cn))
+    el = left_elimination(m, a, b).results
+    er = right_elimination(m, a, b).results
+    c, n = d.c, d.n
+    y = lambda res, i: res["y%d" % i]
+    for k in range(n + 1):
+        assert left["W%d" % k] == y(el, c[k])
+        assert right["W%d" % k] == y(er, c[k])
+        if k < n:
+            assert left["D%d" % k] == y(el, c[k] + 1) * y(el, c[k]).inverse()
+        if k > 0:
+            assert right["D%d" % k] == y(er, c[k]).inverse() * y(er, c[k] - 1)
+    assert set(left) == {"y0", QL} | {"W%d" % k for k in range(n + 1)} \
+        | {"D%d" % k for k in range(n)}
+    assert set(right) == {"y%d" % d.cn, QR} | {"W%d" % k for k in range(n + 1)} \
+        | {"D%d" % k for k in range(1, n + 1)}
 
 
 def test_grid_small():
