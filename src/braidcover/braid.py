@@ -410,6 +410,7 @@ class TorusBranchSet:
     word: BraidWord
     transcript: list
     notes: tuple = ()
+    mirrored: bool = False      # left out of to_json; the mirror move shows it
 
     kind = "torus"
     p = 2
@@ -511,7 +512,7 @@ def _parse_cycle_word(letters):
     return M, tuple(A), tuple(B)
 
 
-def _outcome_from_final(mv, mirrored=False, notes=()):
+def _outcome_from_final(mv, mirrored=False):
     """Read the final cyclic word into a cycle form or a split branch set."""
     final = BraidWord(mv.letters, mv.state[1])
     reduced = _cyclic_reduced(mv.letters)
@@ -522,15 +523,15 @@ def _outcome_from_final(mv, mirrored=False, notes=()):
         e1 = runs[0][1] if runs[0][0] == 1 else runs[1][1]
         # a single letter of the other generator destabilizes away
         if e2 == 1:
-            return TorusBranchSet(e1, final, mv.moves, notes=notes)
+            return TorusBranchSet(e1, final, mv.moves, mirrored=mirrored)
         if e1 == 1:
-            return TorusBranchSet(e2, final, mv.moves, notes=notes)
-        return ConnectedSumBranchSet(e2, e1, final, mv.moves, notes=notes)
+            return TorusBranchSet(e2, final, mv.moves, mirrored=mirrored)
+        return ConnectedSumBranchSet(e2, e1, final, mv.moves)
     parsed = _parse_cycle_word(reduced)
     if parsed is None:
         raise NormalizationError("final word is not in cycle form: %s" % format_braid(final))
     M, A, B = parsed
-    return CycleForm(M, A, B, final, mv.moves, mirrored=mirrored, notes=notes)
+    return CycleForm(M, A, B, final, mv.moves, mirrored=mirrored)
 
 
 def normalize_type1_d1(w):
@@ -572,21 +573,15 @@ def normalize_type1_dm1(w):
     """Case d = -1: reduce to s1^-1 s2^-(a1+2) s1 s2^-a2 ... s1 s2^-(an+2),
     then exchange + mirror into the cycle form with m = 1.
 
-    For n = 1 the chain ends in s1^-1 s2^-(a1+4); the branch set is reported
-    as T(2, a1) following the source statement, with the derived exponent
-    recorded as a note since the two disagree.
+    For n = 1 the chain ends in s1^-1 s2^-(a1+4), which exchange + mirror
+    turn into s2 s1^(a1+4): the branch set is T(2, a1+4), and the report
+    notes the erratum in the source, which states T(2, a1).
     """
     mv = _prepare_type1(w, -1)
     letters = mv.letters
     start = next(i for i, l in enumerate(letters) if l == S1)
     if start:
         mv.do("rotate", start)
-    n = sum(1 for l in mv.letters if l == S1)
-    a1 = 0
-    for g, s in mv.letters[1:]:
-        if g == 1:
-            break
-        a1 += 1
     mv.do("expand_h", -1, 1)            # (s2^-1 s1^-1)^3 in front
     mv.do("reduce")                     # trailing s1^-1 eats the leading s1
     mv.do("rotate", 1)
@@ -594,16 +589,13 @@ def normalize_type1_dm1(w):
     mv.do("braid_rel", 0)               # s1^- s2^- s1^- -> s2^- s1^- s2^-
     mv.do("rotate", 1)
     mv.do("reduce")
-    if n == 1:
-        final = BraidWord(mv.letters, mv.state[1])
-        note = ("derived word is %s; branch set reported as T(2, a1) = T(2, %d) "
-                "per the source statement, determinant of the diagram is %d"
-                % (format_braid(final), a1, a1 + 4))
-        return TorusBranchSet(a1, final, mv.moves, notes=(note,))
     mv.do("exchange")
     mv.do("mirror")
     out = _outcome_from_final(mv, mirrored=True)
-    if out.kind == "cycle":
+    if out.kind == "torus":             # n = 1
+        out.notes = ("erratum: the source states the branch set T(2, a1) = "
+                     "T(2, %d); the derived word gives T(2, a1+4)" % (out.q - 4),)
+    elif out.kind == "cycle":
         if out.m != 1 or out.a[0] <= 1 or out.a[-1] <= 1:
             raise NormalizationError("d=-1 cycle form must have m=1, a0 > 1, an > 1")
     return out

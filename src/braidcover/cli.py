@@ -183,9 +183,9 @@ def _cycle_route(report, w, cls):
     if not words_cyclically_equal(replayed, out.word):
         raise SoundnessError("transcript does not replay to the claimed word")
     if out.kind == "torus":
-        return _torsion_route(report, out, [out.q], det, inv)
+        return _torsion_route(report, [out.q], det, inv)
     if out.kind == "connected_sum":
-        return _torsion_route(report, out, [out.q1, out.q2], det, inv)
+        return _torsion_route(report, [out.q1, out.q2], det, inv)
     dec = DecoratedCycleGraph(out.m, out.a, out.b)
     graph2 = closure_white_graph(expand_fulltwist(out.word))
     if to_decorated(graph2) != dec:
@@ -213,17 +213,13 @@ def _cycle_route(report, w, cls):
     return EXIT_OK
 
 
-def _torsion_route(report, outcome, factors, det, inv):
+def _torsion_route(report, factors, det, inv):
     expected = 1
     for q in factors:
         expected *= abs(q)
     if expected != det:
-        if not outcome.notes:
-            raise SoundnessError("branch set %s has determinant %d, diagram says %d"
-                                 % (factors, expected, det))
-        report["branch_set_discrepancy"] = {
-            "reported_factors": factors, "diagram_determinant": det,
-            "notes": list(outcome.notes)}
+        raise SoundnessError("branch set %s has determinant %d, diagram says %d"
+                             % (factors, expected, det))
     verdicts = []
     if len(factors) == 1:
         verdicts.append(torsion_non_lo(inv))
@@ -238,9 +234,6 @@ def _torsion_route(report, outcome, factors, det, inv):
         names = "#".join("T(2,%d)" % q for q in factors)
         just = ("branch set %s has a finite cyclic (or connected sum of "
                 "finite cyclic) cover group" % names)
-        if "branch_set_discrepancy" in report:
-            just += ("; reported branch set is flagged, the verdict rests on "
-                     "the diagram invariants (|H1| = %d)" % det)
         report["verdict"] = Verdict(VERDICT_TORSION, just).to_json()
         return EXIT_OK
     report["verdict"] = verdicts[0].to_json()

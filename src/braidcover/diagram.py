@@ -130,68 +130,43 @@ def graph_dot(data):
 
 
 def closure_white_graph(w):
-    """White graph of the closure of a freely reduced, twist-free word."""
+    """White graph of the closure of a freely reduced, twist-free word.
+
+    One pass over the letters: the s2 crossings seen so far name the band
+    segment of each crossing, and the ends that come before the first s2
+    belong to the last segment, after its own.
+    """
     if w.fulltwist:
         raise DiagramError("expand the full twist first")
     letters = reduce_letters(w.letters)
     if not letters:
         raise DegenerateDiagram("empty word has no crossings")
-    n = len(letters)
-    s2pos = [i for i, (g, _) in enumerate(letters) if g == 2]
-    k2 = len(s2pos)
-
-    def segment_of(p):
-        """Index of the band segment containing position p (strictly between
-        its bounding s2 crossings, cyclically)."""
-        if k2 == 0:
-            return 0
-        for j in range(k2):
-            lo = s2pos[j]
-            hi = s2pos[(j + 1) % k2] if k2 > 1 else lo + n
-            q = p if p > lo else p + n
-            if lo < q < (hi if hi > lo else hi + n):
-                return j
-        raise DiagramError("position %d not in any segment" % p)
-
-    nseg = max(k2, 1)
+    nseg = max(sum(1 for g, _ in letters if g == 2), 1)
     segs = ["w%d" % j for j in range(nseg)]
     root = "r"
-    vertices = tuple(segs + [root])
     edges = []
-    seg_left = {}     # segment -> edge end at its starting crossing
-    seg_right = {}    # segment -> edge end at its ending crossing
-    seg_tops = {j: [] for j in range(nseg)}   # s1 ends, by position
+    seg_ends = [[] for _ in range(nseg)]    # each segment's rotation
+    wrapped = []      # the last segment's ends before the first s2
     hub_ends = []
-    for p, (g, s) in enumerate(letters):
-        if g == 2:
-            j = s2pos.index(p)
-            left_seg = segs[(j - 1) % k2]
-            right_seg = segs[j % k2]
-            idx = len(edges)
-            edges.append((left_seg, right_seg, edge_sign(g, s)))
-            seg_right[(j - 1) % k2] = (idx, 0)
-            seg_left[j % k2] = (idx, 1)
+    seen = 0          # s2 crossings so far
+    for g, s in letters:
+        idx = len(edges)
+        j = (seen - 1) % nseg               # the segment this crossing is in
+        ends = seg_ends[j] if seen else wrapped
+        if g == 2:      # ends segment j and starts the next one
+            edges.append((segs[j], segs[seen], edge_sign(g, s)))
+            ends.append((idx, 0))
+            seg_ends[seen].append((idx, 1))
+            seen += 1
         else:
-            j = segment_of(p)
-            idx = len(edges)
             edges.append((root, segs[j], edge_sign(g, s)))
-            seg_tops[j].append((p, (idx, 1)))
-            hub_ends.append((p, (idx, 0)))
-
-    rotations = {}
-    for j in range(nseg):
-        ends = []
-        if j in seg_left:
-            ends.append(seg_left[j])
-        start = s2pos[j] if k2 else 0
-        tops = sorted(seg_tops[j], key=lambda t: (t[0] - start) % n)
-        ends.extend(e for _, e in tops)
-        if j in seg_right:
-            ends.append(seg_right[j])
-        rotations[segs[j]] = tuple(ends)
-    rotations[root] = tuple(e for _, e in sorted(hub_ends, reverse=True))
-    g = CheckerboardGraph(vertices, tuple(edges), rotations, root)
-    assert len(g.edges) == n
+            ends.append((idx, 1))
+            hub_ends.append((idx, 0))
+    seg_ends[-1].extend(wrapped)
+    rotations = {seg: tuple(ends) for seg, ends in zip(segs, seg_ends)}
+    rotations[root] = tuple(reversed(hub_ends))
+    g = CheckerboardGraph(tuple(segs + [root]), tuple(edges), rotations, root)
+    assert len(g.edges) == len(letters)
     assert g.euler_check()
     return g
 

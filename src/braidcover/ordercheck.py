@@ -64,7 +64,6 @@ class InfiniteGroup(Exception):
 @dataclass
 class CosetTable:
     generators: tuple
-    complete: bool
     order: int            # |G| = index * |H|
     table: tuple          # live rows, standardized numbering
     cosets_defined: int
@@ -80,8 +79,6 @@ class CosetTable:
     def is_trivial(self, word):
         """Word problem oracle; valid only when the table is the regular
         action, that is when the enumerated subgroup is trivial."""
-        if not self.complete:
-            raise SoundnessError("incomplete table cannot decide the word problem")
         if self.index != self.order:
             raise SoundnessError("a table over a nontrivial subgroup cannot "
                                  "decide the word problem")
@@ -212,7 +209,7 @@ def todd_coxeter(p, max_cosets=10 ** 6, subgroup=()):
                 "abelianization, so the group is infinite"
                 % (", ".join(format_word(w) for w in subgroup), order))
         order *= h.order()
-    return CosetTable(gens, True, order, tuple(tuple(r) for r in rows),
+    return CosetTable(gens, order, tuple(tuple(r) for r in rows),
                       len(table), len(rows))
 
 
@@ -572,8 +569,9 @@ def verify_certificate(cert_json, pres):
     Re-derives every lemma fact from the parameters once, checks the
     lemma-right rules the certificate carries against the arc relators,
     re-checks every sign inference, and confirms the contradiction.
-    Returns (ok, problems); malformed input is a problem, never an
-    exception.
+    Every word it reads has its exponents bounded by the largest of m,
+    a_i and b_i before any letters are built.  Returns (ok, problems);
+    malformed input is a problem, never an exception.
     """
     problems = []
     try:
@@ -598,10 +596,11 @@ def verify_certificate(cert_json, pres):
     except Exception as e:
         return False, ["lemma replay failed: %s" % e]
 
+    bound = max((d.m,) + d.a + d.b)
     try:
         steps = []
         for js in cert_json["steps"]:
-            steps.append((parse_word(js["element"]), 1 if js["sign"] == "+" else -1,
+            steps.append((parse_word(js["element"], bound), 1 if js["sign"] == "+" else -1,
                           js["rule"], tuple(js["premises"]), js.get("payload", {})))
     except Exception as e:
         return False, ["malformed steps: %s" % e]
@@ -613,7 +612,7 @@ def verify_certificate(cert_json, pres):
                             % (idx, bad[0]))
             continue
         try:
-            _check_step(problems, d, cert_json, steps, idx, lemmas)
+            _check_step(problems, d, cert_json, steps, idx, lemmas, bound)
         except Exception as e:
             problems.append("step %d: malformed (%s)" % (idx, e))
 
@@ -626,7 +625,7 @@ def verify_certificate(cert_json, pres):
     return not problems, problems
 
 
-def _check_step(problems, d, cert_json, steps, idx, lemmas):
+def _check_step(problems, d, cert_json, steps, idx, lemmas, bound):
     element, sign, rule, premises, payload = steps[idx]
     m, a, cn = d.m, d.a, d.cn
     y0 = FreeWord.gen("y0")
@@ -654,7 +653,7 @@ def _check_step(problems, d, cert_json, steps, idx, lemmas):
             problems.append("step %d: wrong sign" % idx)
     elif rule == "product_of_positives":
         texts = payload.get("factors", [])
-        parsed = {t: parse_word(t) for t in set(texts)}
+        parsed = {t: parse_word(t, bound) for t in set(texts)}
         factors = [parsed[t] for t in texts]
         if not factors:
             problems.append("step %d: empty product" % idx)
@@ -667,7 +666,7 @@ def _check_step(problems, d, cert_json, steps, idx, lemmas):
         if via == "lemma_right":
             # the rules make W0 a positive word in y_cn and qR that equals
             # y0, so y0 is a product of the two factors
-            rules = [(name, parse_word(text)) for name, text in payload["rules"]]
+            rules = [(name, parse_word(text, bound)) for name, text in payload["rules"]]
             try:
                 checked, _ = verify_lemma_right(d, rules, lemmas["segments"])
             except RewriteError as e:
@@ -690,11 +689,12 @@ def _check_step(problems, d, cert_json, steps, idx, lemmas):
         if sign != 1:
             problems.append("step %d: wrong sign" % idx)
     elif rule == "reduce_negative_power":
-        prefix = parse_word(payload["prefix"])
+        prefix = parse_word(payload["prefix"], bound)
         gword = FreeWord.gen(payload["g"])
         k = payload["k"]
-        if k < 1:
-            problems.append("step %d: needs exponent >= 1" % idx)
+        if not 1 <= k <= bound:
+            problems.append("step %d: needs exponent in 1..%d" % (idx, bound))
+            return
         i, j = premises
         if steps[i][0] != prefix * gword ** k or steps[i][1] != 1:
             problems.append("step %d: dominating element missing" % idx)

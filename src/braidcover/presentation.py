@@ -4,8 +4,8 @@ One generator per white region; at each vertex the relator multiplies
 (x_j^-1 x_i)^sign over the incident edge ends in rotation order, and the
 root generator is killed.  Abelian invariants come from the integer Smith
 normal form of the exponent matrix, which cross-checks the Goeritz
-determinant of the same graph; the Smith form eliminates unit pivots on
-sparse rows before any dense reduction.  Tietze simplification removes
+determinant of the same graph; the Smith form is one sparse elimination
+that pivots on a least entry.  Tietze simplification removes
 generators that occur once in a relator, shortest relator first, and
 prints a relator only to break a tie in length.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 
 from .rewrite import FreeWord, cycle_relators, format_word, solve_relation
 
@@ -110,12 +110,14 @@ class AbelianInvariants:
 def smith_normal_form(rows, ncols):
     """Nonzero diagonal of the Smith normal form of an integer matrix.
 
-    Rows are dense integer sequences or {column: value} dicts.  Unit
-    entries are eliminated first on sparse rows, each pivot chosen by
-    least (row nonzeros - 1) * (column nonzeros - 1) so that little fills
-    in; a heap holds the candidates, and a cost that grew since it was
-    offered is offered again.  Each unit pivot gives a diagonal 1.  What
-    remains goes to the dense reduction.
+    Rows are dense integer sequences or {column: value} dicts.  One sparse
+    elimination: the pivot p is a least entry, ties broken by least (row
+    nonzeros - 1) * (column nonzeros - 1) so that little fills in.  Row
+    operations clear its column down to smaller remainders; once p is alone
+    there, column operations reduce its row mod p, changing no other row, and
+    a row with nothing left records |p|.  A unit leaves no remainder.  The
+    heap offers the units while any are left, then every entry; a cost that
+    grew since it was offered is offered again.
     """
     m = [{j: v for j, v in (r.items() if isinstance(r, dict) else enumerate(r)) if v}
          for r in rows]
@@ -123,116 +125,73 @@ def smith_normal_form(rows, ncols):
     for i, r in enumerate(m):
         for j in r:
             cols.setdefault(j, set()).add(i)
-    heap = []                   # (cost when offered, row, column)
+    heap = []                   # (|entry|, cost when offered, row, column)
 
     def offer(i):
         r = m[i]
         for j, v in r.items():
-            if v == 1 or v == -1:
-                heapq.heappush(heap, ((len(r) - 1) * (len(cols[j]) - 1), i, j))
+            if -bound <= v <= bound:
+                heapq.heappush(heap, (abs(v), (len(r) - 1) * (len(cols[j]) - 1), i, j))
 
-    for i in range(len(m)):
-        offer(i)
-    ones = 0
-    while heap:
-        cost, i, j = heapq.heappop(heap)
-        prow = m[i]
-        if prow is None or prow.get(j) not in (1, -1):
-            continue
-        now = (len(prow) - 1) * (len(cols[j]) - 1)
-        if now > cost:          # filled in since offered: offer it again
-            heapq.heappush(heap, (now, i, j))
-            continue
-        m[i] = None
-        for c in prow:
-            cols[c].discard(i)
-        for k in cols.pop(j):
-            row = m[k]
-            f = row.pop(j) * prow[j]
-            for c, v in prow.items():
-                if c == j:
-                    continue
-                x = row.get(c, 0) - f * v
-                if x:
-                    row[c] = x
-                    cols[c].add(k)
-                else:
-                    del row[c]
-                    cols[c].discard(k)
-            if row:
-                offer(k)
-            else:
-                m[k] = None
-        ones += 1
-    left = sorted(c for c, held in cols.items() if held)
-    place = {c: n for n, c in enumerate(left)}
-    dense = []
-    for r in m:
-        if r:
-            row = [0] * len(left)
-            for c, v in r.items():
-                row[place[c]] = v
-            dense.append(row)
-    return [1] * ones + _dense_smith(dense, len(left))
-
-
-def _dense_smith(m, ncols):
-    """Plain exact-arithmetic reduction: move a pivot of least absolute
-    value into place, clear its row and column, then fix up divisibility."""
-    nr = len(m)
     diag = []
-    top = 0
-    while top < min(nr, ncols):
-        pivot = None
-        best = None
-        for i in range(top, nr):
-            for j in range(top, ncols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        m[top], m[i0] = m[i0], m[top]
-        for r in m:
-            r[top], r[j0] = r[j0], r[top]
-        while True:
-            p = m[top][top]
-            done = True
-            for i in range(top + 1, nr):
-                if m[i][top]:
-                    q = m[i][top] // p
-                    for j in range(top, ncols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        done = False
-                        break
-            if not done:
+    for bound in (1, inf):      # the units, then every entry
+        for i in range(len(m)):
+            if m[i]:
+                offer(i)
+        while heap:
+            a, cost, i, j = heapq.heappop(heap)
+            prow = m[i]
+            if prow is None or abs(prow.get(j, 0)) != a:
                 continue
-            for j in range(top + 1, ncols):
-                if m[top][j]:
-                    q = m[top][j] // p
-                    for i in range(top, nr):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j]:
-                        for r in m:
-                            r[top], r[j] = r[j], r[top]
-                        done = False
-                        break
-            if done:
-                break
-        diag.append(abs(m[top][top]))
-        top += 1
-    # divisibility: d_i | d_{i+1}
-    for i in range(len(diag)):
+            now = (len(prow) - 1) * (len(cols[j]) - 1)
+            if now > cost:          # filled in since offered: offer it again
+                heapq.heappush(heap, (a, now, i, j))
+                continue
+            p = prow[j]
+            m[i] = None
+            for c in prow:
+                cols[c].discard(i)
+            held = cols[j]
+            cols[j] = left = set()  # rows left with a remainder in column j
+            for k in held:
+                row = m[k]
+                f, x = divmod(row.pop(j), p)
+                if x:
+                    row[j] = x
+                    left.add(k)
+                for c, v in prow.items():
+                    if c == j:
+                        continue
+                    x = row.get(c, 0) - f * v
+                    if x:
+                        row[c] = x
+                        cols[c].add(k)
+                    else:
+                        del row[c]
+                        cols[c].discard(k)
+                if row:
+                    offer(k)
+                else:
+                    m[k] = None
+            if not left:            # p alone in its column; a unit clears its row
+                prow = a > 1 and {c: x for c, v in prow.items() if (x := v % p)}
+            if prow:                # the pivot row goes back, p included
+                prow[j] = p
+                m[i] = prow
+                for c in prow:
+                    cols[c].add(i)
+                offer(i)
+            else:
+                diag.append(a)
+    # divisibility d_i | d_(i+1); a unit divides every entry
+    diag.sort()
+    for i in range(diag.count(1), len(diag)):
         for j in range(i + 1, len(diag)):
             a, b = diag[i], diag[j]
-            if a and b and b % a:
+            if b % a:
                 g = gcd(a, b)
                 diag[i], diag[j] = g, a * b // g
-    return [d for d in diag if d]
+    return diag
 
 
 def abelianize(p):

@@ -175,8 +175,10 @@ def _fold_blocks(pairs):
     return None
 
 
-def parse_word(text):
-    """Inverse of the plain printer: whitespace separated sym or sym^exp."""
+def parse_word(text, bound=None):
+    """Inverse of the plain printer: whitespace separated sym or sym^exp.
+    An exponent above `bound` in absolute value is refused before any
+    letters are built."""
     pairs = []
     for tok in text.split():
         if tok == "1":
@@ -186,6 +188,10 @@ def parse_word(text):
             pairs.append((sym, int(exp)))
         else:
             pairs.append((tok, 1))
+    if bound is not None:
+        for sym, exp in pairs:
+            if abs(exp) > bound:
+                raise RewriteError("exponent %s^%d exceeds %d" % (sym, exp, bound))
     return FreeWord.from_pairs(pairs)
 
 

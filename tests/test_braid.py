@@ -210,9 +210,12 @@ def test_normalize_d1_degenerate_collapse():
 
 
 def test_normalize_dm1_n1_flagged():
+    # the derived branch set T(2, a1+4), with the source's T(2, a1) as an erratum
     out = _check_normalization("h^-1 s1 s2^-1", normalize_type1_dm1)
-    assert out.kind == "torus" and out.q == 1
-    assert out.notes and "s1^-1 s2^-5" in out.notes[0]
+    assert out.kind == "torus" and out.q == 5 and out.mirrored
+    assert format_braid(out.word) == "s2 s1^5"
+    assert out.notes == ("erratum: the source states the branch set T(2, a1) = "
+                         "T(2, 1); the derived word gives T(2, a1+4)",)
 
 
 def test_normalize_dm1_cycle():

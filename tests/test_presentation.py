@@ -142,6 +142,22 @@ def test_smith_normal_form_matches_determinantal_divisors(matrix):
     assert smith_normal_form(sparse, ncols) == want
 
 
+@st.composite
+def _unitless_matrices(draw):
+    """Up to 5 x 5 matrices with no unit entry, so that no pivot is a unit
+    until remainders make one."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6))
+    return [draw(st.lists(entry, min_size=nc, max_size=nc)) for _ in range(nr)], nc
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_unitless_matrices())
+def test_smith_normal_form_without_unit_entries(matrix):
+    rows, ncols = matrix
+    assert smith_normal_form(rows, ncols) == determinantal_divisors(rows, ncols)
+
+
 def test_tietze_examples():
     p = GroupPresentation(("a", "b"), (parse_word("a b^-1"), parse_word("a^3")))
     q = tietze_simplify(p)
