@@ -17,7 +17,7 @@ without rescanning either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .rewrite import reduce_letters, run_lengths
 
@@ -69,17 +69,15 @@ _TWIST_CODES = tuple((sign, tuple(map(_encode, pats)))
                      for sign, pats in ((1, TWIST_POS), (-1, TWIST_NEG)))
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(namedtuple("BraidWord", "letters fulltwist")):
     """Freely reduced letters plus the symbolic full-twist power d."""
-    letters: tuple = ()
-    fulltwist: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g, s in self.letters:
+    def __new__(cls, letters=(), fulltwist=0):
+        for g, s in letters:
             if g not in (1, 2) or s not in (1, -1):
                 raise BraidError("bad letter %r" % ((g, s),))
-        object.__setattr__(self, "letters", reduce_letters(self.letters))
+        return super().__new__(cls, reduce_letters(letters), fulltwist)
 
     def __len__(self):
         return len(self.letters)
@@ -151,18 +149,22 @@ def mirror(w, exchange=False):
 # Classification.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BaldwinClass:
+class BaldwinClass(namedtuple("BaldwinClass", "kind d a m stopped_at moves",
+                              defaults=(0, (), 0, 0, ()))):
     """Tagged union over the three families; kind is 1, 2, 3 or 0 (none).
     `moves`, the twist_search path that realised it, is not compared.  A
     kind 0 class whose search hit MAX_TWIST_STATES holds that cap in
     `stopped_at`: it is not known to lie outside the families."""
-    kind: int
-    d: int = 0
-    a: tuple = ()
-    m: int = 0
-    moves: tuple = field(default=(), compare=False, repr=False)
-    stopped_at: int = 0
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, BaldwinClass) and self[:5] == other[:5]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:5])
 
     def to_json(self):
         if self.kind == 1:
@@ -298,8 +300,10 @@ def classify_baldwin(w):
     for cur, dd, moves in states:
         c = _match_state(cur, w.fulltwist + dd)
         if c is not None and (best.kind == 0 or key(c) < key(best)):
-            best = replace(c, moves=moves)
-    if best.kind == 0 and len(states) >= MAX_TWIST_STATES:
+            best, best_moves = c, moves
+    if best.kind:
+        return best._replace(moves=best_moves)
+    if len(states) >= MAX_TWIST_STATES:
         return BaldwinClass(0, stopped_at=MAX_TWIST_STATES)
     return best
 
@@ -386,17 +390,12 @@ def words_cyclically_equal(w1, w2):
 # Normalization outcomes.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CycleForm:
-    m: int
-    a: tuple
-    b: tuple
-    word: BraidWord
-    transcript: list
-    mirrored: bool = False
-    notes: tuple = ()
-
     kind = "cycle"
+
+    def __init__(self, m, a, b, word, transcript, mirrored=False, notes=()):
+        self.m, self.a, self.b, self.word = m, a, b, word
+        self.transcript, self.mirrored, self.notes = transcript, mirrored, notes
 
     def to_json(self):
         return {"outcome": "cycle", "m": self.m, "a": list(self.a), "b": list(self.b),
@@ -404,16 +403,13 @@ class CycleForm:
                 "moves": [list(m) for m in self.transcript], "notes": list(self.notes)}
 
 
-@dataclass
 class TorusBranchSet:
-    q: int
-    word: BraidWord
-    transcript: list
-    notes: tuple = ()
-    mirrored: bool = False      # left out of to_json; the mirror move shows it
-
     kind = "torus"
     p = 2
+
+    def __init__(self, q, word, transcript, notes=(), mirrored=False):
+        self.q, self.word, self.transcript, self.notes = q, word, transcript, notes
+        self.mirrored = mirrored    # left out of to_json; the mirror move shows it
 
     def to_json(self):
         return {"outcome": "torus", "p": 2, "q": self.q,
@@ -421,15 +417,12 @@ class TorusBranchSet:
                 "moves": [list(m) for m in self.transcript], "notes": list(self.notes)}
 
 
-@dataclass
 class ConnectedSumBranchSet:
-    q1: int
-    q2: int
-    word: BraidWord
-    transcript: list
-    notes: tuple = ()
-
     kind = "connected_sum"
+
+    def __init__(self, q1, q2, word, transcript, notes=()):
+        self.q1, self.q2, self.word = q1, q2, word
+        self.transcript, self.notes = transcript, notes
 
     def to_json(self):
         return {"outcome": "connected_sum", "factors": [[2, self.q1], [2, self.q2]],

@@ -6,7 +6,6 @@ soundness failure.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -399,6 +398,8 @@ def cmd_batch(args):
 
 
 def main(argv=None):
+    import argparse     # here, not at the top: only the command line needs it
+
     ap = argparse.ArgumentParser(
         prog="braidcover",
         description="three-braid branched double covers: classification, "

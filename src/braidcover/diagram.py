@@ -16,7 +16,7 @@ s2-positive path, which pins the convention for every other word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .braid import reduce_letters
 from .rewrite import prefix_sums
@@ -39,34 +39,31 @@ def edge_sign(gen, sign):
     return sign if gen == 1 else -sign
 
 
-@dataclass
 class CheckerboardGraph:
     """Signed rooted multigraph with a rotation system.
 
     edges[i] = (u, v, sign); rotations[v] lists the edge ends (i, end)
     incident to v in reading order around the vertex, end 0 at u and 1 at v.
     """
-    vertices: tuple
-    edges: tuple
-    rotations: dict
-    root: str
 
-    def __post_init__(self):
+    def __init__(self, vertices, edges, rotations, root):
+        self.vertices, self.edges, self.rotations, self.root = vertices, edges, rotations, root
+        known = set(vertices)
         seen = set()
-        for v, ends in self.rotations.items():
-            if v not in self.vertices:
+        for v, ends in rotations.items():
+            if v not in known:
                 raise DiagramError("rotation at unknown vertex %r" % v)
             for e in ends:
                 if e in seen:
                     raise DiagramError("duplicate edge end %r" % (e,))
                 seen.add(e)
                 i, end = e
-                u = self.edges[i][end]
+                u = edges[i][end]
                 if u != v:
                     raise DiagramError("edge end %r not at vertex %r" % (e, v))
-        if len(seen) != 2 * len(self.edges):
+        if len(seen) != 2 * len(edges):
             raise DiagramError("rotation system does not cover all edge ends")
-        if self.root not in self.vertices:
+        if root not in known:
             raise DiagramError("missing root")
 
     def components(self):
@@ -83,23 +80,26 @@ class CheckerboardGraph:
         return len({find(v) for v in self.vertices})
 
     def face_count(self):
-        """Faces of the embedded map: orbits of next-end after crossing over."""
+        """Faces of the embedded map: orbits of next-end after crossing over.
+
+        Each orbit is walked once, from the first of its ends in the order
+        of `rotations`, so every edge end is visited once."""
         pos = {}
         for v, ends in self.rotations.items():
             for j, e in enumerate(ends):
                 pos[e] = (v, j)
-        remaining = set(pos)
+        seen = set()
         faces = 0
-        while remaining:
-            e = min(remaining)
-            while e in remaining:
-                remaining.discard(e)
+        for e in pos:
+            if e in seen:
+                continue
+            faces += 1
+            while e not in seen:
+                seen.add(e)
                 i, end = e
-                other = (i, 1 - end)
-                v, j = pos[other]
+                v, j = pos[(i, 1 - end)]
                 ends = self.rotations[v]
                 e = ends[(j + 1) % len(ends)]
-            faces += 1
         return faces
 
     def euler_check(self):
@@ -171,20 +171,17 @@ def closure_white_graph(w):
     return g
 
 
-@dataclass(frozen=True)
-class DecoratedCycleGraph:
+class DecoratedCycleGraph(namedtuple("DecoratedCycleGraph", "m a b")):
     """Parameters (m, a_0..a_n, b_1..b_n) of the cycle-form white graph."""
-    m: int
-    a: tuple
-    b: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
-        if self.m < 1 or len(self.a) != len(self.b) + 1:
+    def __new__(cls, m, a, b):
+        a, b = tuple(a), tuple(b)
+        if m < 1 or len(a) != len(b) + 1:
             raise DiagramError("need m >= 1 and len(a) == len(b) + 1")
-        if any(x < 1 for x in self.a) or any(x < 1 for x in self.b):
+        if any(x < 1 for x in a) or any(x < 1 for x in b):
             raise DiagramError("all a_i and b_i must be positive")
+        return super().__new__(cls, m, a, b)
 
     @property
     def n(self):
@@ -416,10 +413,9 @@ def _reads_neg_roots_pos(g, v):
     return False
 
 
-@dataclass
 class GoeritzMatrix:
-    labels: tuple
-    matrix: tuple
+    def __init__(self, labels, matrix):
+        self.labels, self.matrix = labels, matrix
 
     def determinant(self):
         return _int_det(self.matrix)

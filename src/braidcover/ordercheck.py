@@ -14,7 +14,6 @@ a generic brute-force obstruction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .rewrite import (FreeWord, RewriteError, format_word, parse_word, x_sym,
                       right_rules, verify_lemma_x, verify_lemma_y,
@@ -38,11 +37,10 @@ class SoundnessError(Exception):
     pass
 
 
-@dataclass
 class Verdict:
-    kind: str
-    justification: str
-    machine_checked: bool = True
+    def __init__(self, kind, justification, machine_checked=True):
+        self.kind, self.justification = kind, justification
+        self.machine_checked = machine_checked
 
     def to_json(self):
         return {"verdict": self.kind, "justification": self.justification,
@@ -61,13 +59,13 @@ class InfiniteGroup(Exception):
     """The enumerated subgroup has infinite abelianization; G is infinite."""
 
 
-@dataclass
 class CosetTable:
-    generators: tuple
-    order: int            # |G| = index * |H|
-    table: tuple          # live rows, standardized numbering
-    cosets_defined: int
-    index: int            # [G:H], the number of rows
+    def __init__(self, generators, order, table, cosets_defined, index):
+        self.generators = generators
+        self.order = order                  # |G| = index * |H|
+        self.table = table                  # live rows, standardized numbering
+        self.cosets_defined = cosets_defined
+        self.index = index                  # [G:H], the number of rows
 
     def trace(self, start, word):
         col = {g: 2 * i for i, g in enumerate(self.generators)}
@@ -385,10 +383,10 @@ def torsion_non_lo(inv):
                    "nontrivial finite cyclic fundamental group Z/%d" % order)
 
 
-@dataclass
 class PositiveConeWitness:
-    generators: tuple
-    derivations: dict    # sign assignment -> word reaching the identity
+    def __init__(self, generators, derivations):
+        self.generators = generators
+        self.derivations = derivations      # sign assignment -> word reaching the identity
 
     def to_json(self):
         return {"generators": list(self.generators),
@@ -441,13 +439,10 @@ def positive_cone_search(p, oracle, depth=8):
 # The cycle-form certificate.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SignStep:
-    element: FreeWord
-    sign: int
-    rule: str
-    premises: tuple = ()
-    payload: dict = field(default_factory=dict)
+    def __init__(self, element, sign, rule, premises=(), payload=None):
+        self.element, self.sign, self.rule = element, sign, rule
+        self.premises, self.payload = premises, payload
 
     def to_json(self):
         out = {"element": format_word(self.element, fold=False),
@@ -458,15 +453,10 @@ class SignStep:
         return out
 
 
-@dataclass
 class NonLOCertificate:
-    m: int
-    a: tuple
-    b: tuple
-    case: int
-    wlog: dict
-    steps: list
-    contradiction: tuple
+    def __init__(self, m, a, b, case, wlog, steps, contradiction):
+        self.m, self.a, self.b, self.case = m, a, b, case
+        self.wlog, self.steps, self.contradiction = wlog, steps, contradiction
 
     def to_json(self):
         return {"params": {"m": self.m, "a": list(self.a), "b": list(self.b)},
@@ -569,9 +559,10 @@ def verify_certificate(cert_json, pres):
     Re-derives every lemma fact from the parameters once, checks the
     lemma-right rules the certificate carries against the arc relators,
     re-checks every sign inference, and confirms the contradiction.
-    Every word it reads has its exponents bounded by the largest of m,
-    a_i and b_i before any letters are built.  Returns (ok, problems);
-    malformed input is a problem, never an exception.
+    Parameters too large for the presentation are refused before anything
+    is built from them, and every word it reads has its exponents bounded
+    by the largest of m, a_i and b_i before any letters are built.  Returns
+    (ok, problems); malformed input is a problem, never an exception.
     """
     problems = []
     try:
@@ -581,6 +572,12 @@ def verify_certificate(cert_json, pres):
         return False, ["bad parameters: %s" % e]
     if d.n < 1:     # no y segments: no cycle presentation and no lemma
         return False, ["hypothesis fails for the stated parameters: n = 0"]
+    # the parameters' presentation has m + cn + 1 generators and the
+    # relator y_cn^-an ... y0^-a0; refuse what pres cannot hold before
+    # building anything from parameters of unchecked size
+    if d.m + d.cn + 1 > len(pres.generators) or \
+            sum(d.a) > max(map(len, pres.relators), default=0):
+        return False, ["presentation does not match the certificate parameters"]
     if not relator_sets_equal(pres, cycle_presentation(d)):
         problems.append("presentation does not match the certificate parameters")
     if not d.hypothesis_ok():

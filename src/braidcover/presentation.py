@@ -13,7 +13,7 @@ prints a relator only to break a tie in length.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, inf
 
 from .rewrite import FreeWord, cycle_relators, format_word, solve_relation
@@ -27,16 +27,15 @@ class DegenerateShape(PresentationError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    generators: tuple
-    relators: tuple
+class GroupPresentation(namedtuple("GroupPresentation", "generators relators")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        gens = set(self.generators)
-        for r in self.relators:
+    def __new__(cls, generators, relators):
+        gens = set(generators)
+        for r in relators:
             if not r.symbols() <= gens:
                 raise PresentationError("relator mentions undeclared generator: %s" % r)
+        return super().__new__(cls, generators, relators)
 
     def to_json(self):
         return {"generators": list(self.generators),
@@ -89,10 +88,9 @@ def cycle_presentation(d):
 # Abelian invariants.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbelianInvariants:
-    torsion: tuple   # d1 | d2 | ... , all > 1
-    rank: int
+class AbelianInvariants(namedtuple("AbelianInvariants", "torsion rank")):
+    """torsion d1 | d2 | ..., all > 1, and the free rank."""
+    __slots__ = ()
 
     def order(self):
         """|H1| when finite, else None."""

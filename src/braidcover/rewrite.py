@@ -20,8 +20,6 @@ checking path; the tests compare the rules' expansions with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class RewriteError(Exception):
     pass
@@ -317,11 +315,11 @@ def cycle_relators(m, a, b):
 # Lemma replay.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ProofTranscript:
     """What a verifier proved: the lemma's name and the words it derived."""
-    name: str
-    results: dict = field(default_factory=dict)
+
+    def __init__(self, name, results):
+        self.name, self.results = name, results
 
 
 def verify_lemma_x(m, cn=None):

@@ -2,10 +2,14 @@
 determinant oracle, the Smith diagonal from determinantal divisors, braid
 rotation, the family (1) normalizer dispatch, a coset table printout, the
 expansion of straight-line lemma rules, and the references the faster code
-must reproduce: the letter-tuple twist search and the Tietze
-simplification that printed every relator."""
+must reproduce: the letter-tuple twist search, the Tietze
+simplification that printed every relator and the face walk that started
+each face at the least unvisited edge end; and the benchmark's workload
+lines."""
 
 import itertools
+import os
+import sys
 from math import gcd
 
 from braidcover import braid
@@ -238,3 +242,37 @@ def _tietze_entry(r):
         counts[sym] = counts.get(sym, 0) + 1
     once = [sym for sym, c in counts.items() if c == 1]
     return (len(r), str(r)), r, min(once) if once else None, counts
+
+
+def reference_face_count(g):
+    """Faces of the embedded map of a CheckerboardGraph, each started from
+    the least edge end not yet visited."""
+    pos = {}
+    for v, ends in g.rotations.items():
+        for j, e in enumerate(ends):
+            pos[e] = (v, j)
+    remaining = set(pos)
+    faces = 0
+    while remaining:
+        e = min(remaining)
+        while e in remaining:
+            remaining.discard(e)
+            i, end = e
+            v, j = pos[(i, 1 - end)]
+            ends = g.rotations[v]
+            e = ends[(j + 1) % len(ends)]
+        faces += 1
+    return faces
+
+
+def workload_lines():
+    """The distinct braid-word lines of the four benchmark workloads at
+    seeds 1 and 2, sorted."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import workloads
+    return sorted({op.line for name in ("ladder", "finite", "mix", "twisted")
+                   for seed in (1, 2) for op in workloads.generate(name, seed)
+                   if op.word is not None})

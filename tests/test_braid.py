@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcover import braid
-from braidcover.braid import (BraidError, BraidWord, NormalizationError,
-                              parse_braid, format_braid, expand_fulltwist,
-                              exponent_sum, mirror,
+from braidcover.braid import (BaldwinClass, BraidError, BraidWord,
+                              NormalizationError, parse_braid, format_braid,
+                              expand_fulltwist, exponent_sum, mirror,
                               classify_baldwin, normalize_type1_d1,
                               normalize_type1_dm1, twist_search,
                               replay_moves, words_cyclically_equal,
                               MAX_LETTERS, S1, S1I, S2, S2I,
                               TWIST_NEG, TWIST_POS)
+from braidcover.diagram import DecoratedCycleGraph
+from braidcover.presentation import AbelianInvariants, GroupPresentation
 
 from b3oracle import braids_equal, conjugacy_invariants
 from support import cyclic_conjugate, normalize_type1, reference_twist_search
@@ -61,6 +63,27 @@ def test_parse_refuses_oversized_words():
 def test_letters_always_reduced():
     w = BraidWord((S1, S1I, S2), 0)
     assert w.letters == (S2,)
+
+
+def test_value_records_are_immutable_and_compare_by_value():
+    # a BaldwinClass leaves its moves out of equality and hashing
+    one = BaldwinClass(1, d=1, a=(2,))
+    other = BaldwinClass(1, d=1, a=(2,), moves=(("rotate", 1), ("reduce",)))
+    assert one == other and not one != other and hash(one) == hash(other)
+    assert one != BaldwinClass(1, d=-1, a=(2,))
+    d = DecoratedCycleGraph(2, [1, 2], [3])
+    assert d == DecoratedCycleGraph(2, (1, 2), (3,))
+    assert hash(d) == hash(DecoratedCycleGraph(2, (1, 2), (3,)))
+    assert d.a == (1, 2) and d.b == (3,)
+    with pytest.raises(BraidError):
+        BraidWord(((3, 1),), 0)
+    assert BraidWord((S1, S2, S2I), 0).letters == (S1,)
+    records = [(BraidWord((S1,), 1), "fulltwist"), (one, "kind"), (d, "m"),
+               (GroupPresentation(("v",), ()), "relators"),
+               (AbelianInvariants((2,), 0), "rank")]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
 
 
 def test_expand_fulltwist():

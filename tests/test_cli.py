@@ -1,5 +1,6 @@
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -19,12 +20,26 @@ from braidcover.rewrite import parse_word
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(braidcover.__file__)))
 
 
-def run_cli(*args):
+def run_python(*args):
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "braidcover.cli", *args],
-                          capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(*args):
+    return run_python("-m", "braidcover.cli", *args)
+
+
+def test_import_loads_every_module_and_no_heavy_stdlib():
+    # dataclasses (with inspect, ast and dis) and argparse cost about a
+    # third of a fresh import; only main() may load argparse
+    code, out, err = run_python("-c", "import sys, braidcover.cli; print(*sys.modules)")
+    assert code == 0, err
+    loaded = set(out.split())
+    assert not loaded & {"dataclasses", "inspect", "argparse"}
+    package = {"braidcover." + m.name for m in pkgutil.iter_modules(braidcover.__path__)}
+    assert len(package) == 6 and package <= loaded
 
 
 def test_classify_json():

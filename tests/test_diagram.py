@@ -13,7 +13,8 @@ from braidcover.diagram import (CheckerboardGraph, DecoratedCycleGraph,
 from braidcover.braid import classify_baldwin
 from braidcover.presentation import greene_presentation, abelianize
 
-from support import graphs_isomorphic, leibniz_det
+from support import (graphs_isomorphic, leibniz_det, reference_face_count,
+                     workload_lines)
 
 
 def graph_of(text):
@@ -134,6 +135,14 @@ def test_normalized_braid_rebuilds_cycle_graph():
         g = graph_of(text)
         assert to_decorated(g) == DecoratedCycleGraph(m, a, b)
         assert graphs_isomorphic(g, cycle_graph_from_params(m, a, b))
+
+
+def test_face_count_matches_the_reference_on_the_workloads():
+    lines = workload_lines()
+    assert len(lines) > 2000
+    for line in lines:
+        g = graph_of(line)
+        assert g.face_count() == reference_face_count(g), line
 
 
 def test_shape_mismatch_tree():

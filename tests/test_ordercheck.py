@@ -327,6 +327,16 @@ def test_certificate_tampering_detected():
     assert verify_certificate(cert, other) == (
         False, ["presentation does not match the certificate parameters"])
 
+    # parameters far larger than the presentation are refused before
+    # anything is built from them
+    d = DecoratedCycleGraph(3, (2, 1, 2), (1, 2))
+    bad = certify_cycle_non_lo(d).to_json()
+    bad["params"]["a"] = [2, 1, 100000]
+    t0 = time.perf_counter()
+    assert verify_certificate(bad, cycle_presentation(d)) == (
+        False, ["presentation does not match the certificate parameters"])
+    assert time.perf_counter() - t0 < 0.5
+
 
 # each over-large exponent, with a = (2, 1, 2) and b = (1, 2), gives the
 # problem it must give; the largest of m, a_i and b_i is 3 at m = 3, 2 at m = 1

@@ -1,6 +1,4 @@
-import os
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,13 +15,8 @@ from braidcover.presentation import (GroupPresentation, PresentationError,
                                      smith_normal_form, relator_sets_equal)
 
 from support import (determinantal_divisors, kill_generator,
-                     presentation_from_json, reference_tietze_simplify)
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
-if PERFBENCH not in sys.path:
-    sys.path.insert(0, PERFBENCH)
-import workloads  # noqa: E402
+                     presentation_from_json, reference_tietze_simplify,
+                     workload_lines)
 
 w = FreeWord.gen
 
@@ -169,11 +162,9 @@ def test_tietze_examples():
 
 def test_tietze_matches_the_reference_on_the_workloads():
     # same eliminations, same relators in the same order
-    lines = {op.line for name in ("ladder", "finite", "mix", "twisted")
-             for seed in (1, 2) for op in workloads.generate(name, seed)
-             if op.word is not None}
+    lines = workload_lines()
     assert len(lines) > 2000
-    for line in sorted(lines):
+    for line in lines:
         p = greene_presentation(closure_white_graph(expand_fulltwist(parse_braid(line))))
         assert tietze_simplify(p).to_json() == reference_tietze_simplify(p).to_json(), line
 
