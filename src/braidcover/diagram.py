@@ -7,7 +7,10 @@ strands two and three, cut by the s2 crossings and cyclically joined
 through the closure channel, plus one hub region on the other side of
 strand one.  Every s2 crossing joins two consecutive band segments and
 every s1 crossing joins the hub to the band segment spanning its
-position, so the hub is the root of the Fig-2 style cycle graphs.
+position, so the hub is the root of the Fig-2 style cycle graphs.  The
+cycle graph (m; a; b) is the white graph of the closure of its word
+s2^m s1^{a0} s2^{-b1} ... s2^{-bn} s1^{an}, so one function fixes the
+rotation convention for both.
 
 Edge signs are calibrated so that the closure of
 s2^3 s1 s2^-1 s1 s2^-1 s1 carries negative signs exactly on the
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .braid import reduce_letters
+from .braid import BraidWord, reduce_letters
 from .rewrite import prefix_sums
 
 
@@ -208,62 +211,27 @@ class DecoratedCycleGraph(namedtuple("DecoratedCycleGraph", "m a b")):
 
 
 def cycle_graph_from_params(m, a, b):
-    """Build the cycle-form graph with the generator names as vertices.
+    """White graph of the closure of s2^m s1^{a0} s2^{-b1} ... s1^{an},
+    with the regions named after the cycle-form generators.
 
-    The rotation orders replicate the ones closure_white_graph produces for
-    the braid s2^m s1^{a0} s2^{-b1} ... s1^{an}, so the two constructions
-    agree on normalized braids: every segment reads (left crossing, root
-    edges in position order, right crossing) and the root reads its spokes
-    in decreasing position.
+    Band segment j is x_{m-1-j} for j < m - 1 and y_{j-m+1} from there on,
+    so y0 follows the s2^m block and y_{c_k} carries the s1^{a_k} spokes;
+    the hub is z.
     """
-    d = DecoratedCycleGraph(m, tuple(a), tuple(b))
-    m, a, b = d.m, d.a, d.b
-    cn, c, n = d.cn, d.c, d.n
-    vertices = ["y%d" % i for i in range(cn + 1)] + \
-               ["x%d" % i for i in range(1, m)] + ["z"]
-    edges = []
-    left_end = {}
-    right_end = {}
-    tops = {v: [] for v in vertices}
-    # negative arc: the s2^m block runs right to left from y_cn through
-    # x_{m-1} ... x_1 to y0 (for n = 0 both path ends are y0)
-    seq = ["y%d" % cn] + ["x%d" % i for i in range(m - 1, 0, -1)] + ["y0"]
-    for p in range(m):
-        idx = len(edges)
-        edges.append((seq[p], seq[p + 1], -1))
-        right_end[seq[p]] = (idx, 0)
-        left_end[seq[p + 1]] = (idx, 1)
-    # positive arc y0 ... y_cn
-    for i in range(cn):
-        idx = len(edges)
-        edges.append(("y%d" % i, "y%d" % (i + 1), +1))
-        right_end["y%d" % i] = (idx, 0)
-        left_end["y%d" % (i + 1)] = (idx, 1)
-    # root spokes; the hub sees blocks in decreasing position, the marked
-    # vertices see their own block in increasing position
-    root_ends = []
-    for k in range(n, -1, -1):
-        block = []
-        for _ in range(a[k]):
-            idx = len(edges)
-            edges.append(("z", "y%d" % c[k], +1))
-            block.append(idx)
-            root_ends.append((idx, 0))
-        tops["y%d" % c[k]] = [(i, 1) for i in reversed(block)]
-    rotations = {"z": tuple(root_ends)}
-    for v in vertices:
-        if v == "z":
-            continue
-        ends = []
-        if v in left_end:
-            ends.append(left_end[v])
-        ends.extend(tops[v])
-        if v in right_end:
-            ends.append(right_end[v])
-        rotations[v] = tuple(ends)
-    g = CheckerboardGraph(tuple(vertices), tuple(edges), rotations, "z")
-    assert g.euler_check()
-    return g
+    d = DecoratedCycleGraph(m, a, b)
+    letters = [(2, 1)] * d.m + [(1, 1)] * d.a[0]
+    for bk, ak in zip(d.b, d.a[1:]):
+        letters += [(2, -1)] * bk + [(1, 1)] * ak
+    g = closure_white_graph(BraidWord(letters))
+    name = {"r": "z"}
+    for j in range(d.m + d.cn):
+        name["w%d" % j] = "x%d" % (d.m - 1 - j) if j < d.m - 1 else "y%d" % (j - d.m + 1)
+    vertices = ["y%d" % i for i in range(d.cn + 1)] + \
+               ["x%d" % i for i in range(1, d.m)] + ["z"]
+    return CheckerboardGraph(tuple(vertices),
+                             tuple((name[u], name[v], s) for u, v, s in g.edges),
+                             {name[v]: ends for v, ends in g.rotations.items()},
+                             "z")
 
 
 def to_decorated(g):
@@ -303,6 +271,7 @@ def to_decorated(g):
         adj[v].append((u, s))
     start = rest[0]
     cycle = [start]
+    visited = {start}
     signs = []
     prev = None
     cur = start
@@ -315,14 +284,12 @@ def to_decorated(g):
         signs.append(s)
         if nxt == start and len(cycle) == len(rest):
             break
-        if nxt in cycle:
+        if nxt in visited:
             raise ShapeMismatch("not a single cycle")
         cycle.append(nxt)
+        visited.add(nxt)
         prev, cur = cur, nxt
-    if len(cycle) != len(rest):
-        raise ShapeMismatch("cycle misses vertices")
-    neg = [i for i, s in enumerate(signs) if s == -1]
-    m = len(neg)
+    m = signs.count(-1)
     if m == 0:
         raise ShapeMismatch("no negative arc")
     if len(signs) == m:
@@ -333,33 +300,20 @@ def to_decorated(g):
         if any(mult.get(v) for v in cycle if v != markedv[0]):
             raise ShapeMismatch("stray marks")
         return DecoratedCycleGraph(m, (mult[markedv[0]],), ())
-    # the negative edges must be contiguous along the cycle
-    if not _contiguous(neg, len(signs)):
-        raise ShapeMismatch("negative edges not contiguous")
     # rotate the walk so it starts at y0 and runs along the positive arc
-    dec = _orient_and_read(g, cycle, signs, mult)
-    return dec
-
-
-def _contiguous(idxs, total):
-    k = len(idxs)
-    s = set(idxs)
-    for start in idxs:
-        if all((start + t) % total in s for t in range(k)):
-            return True
-    return False
+    return _orient_and_read(g, cycle, signs, mult)
 
 
 def _orient_and_read(g, cycle, signs, mult):
     size = len(cycle)
-    neg = {i for i, s in enumerate(signs) if s == -1}
-    m = len(neg)
+    m = signs.count(-1)
     # endpoints of the positive arc: vertices incident to one negative and
-    # one positive cycle edge
+    # one positive cycle edge; two of them exactly when the negative edges
+    # are contiguous along the cycle
     ends = [i for i in range(size)
             if (signs[i - 1] == -1) != (signs[i] == -1)]
     if len(ends) != 2:
-        raise ShapeMismatch("positive arc endpoints")
+        raise ShapeMismatch("negative edges not contiguous")
     picked = None
     for i in ends:
         # y0 reads (negative edge, root edges, positive edge) around the
@@ -414,14 +368,13 @@ def _reads_neg_roots_pos(g, v):
 
 
 class GoeritzMatrix:
-    def __init__(self, labels, matrix):
-        self.labels, self.matrix = labels, matrix
+    """rows[i] maps column j to the nonzero entry (i, j); labels name both."""
+
+    def __init__(self, labels, rows):
+        self.labels, self.rows = labels, rows
 
     def determinant(self):
-        return _int_det(self.matrix)
-
-    def to_json(self):
-        return {"labels": list(self.labels), "matrix": [list(r) for r in self.matrix]}
+        return _int_det([dict(r) for r in self.rows])
 
 
 def goeritz_matrix(g):
@@ -429,33 +382,32 @@ def goeritz_matrix(g):
     determinant of the underlying diagram."""
     labels = tuple(v for v in g.vertices if v != g.root)
     index = {v: i for i, v in enumerate(labels)}
-    size = len(labels)
-    mat = [[0] * size for _ in range(size)]
+    rows = [{} for _ in labels]
     for u, v, s in g.edges:
         if u == v:
             continue                    # nugatory crossing
-        if u in index and v in index:
-            mat[index[u]][index[v]] -= s
-            mat[index[v]][index[u]] -= s
-        for x in (u, v):
-            if x in index:
-                mat[index[x]][index[x]] += s
-    return GoeritzMatrix(labels, tuple(tuple(r) for r in mat))
+        i, j = index.get(u), index.get(v)
+        for x in (i, j):
+            if x is not None:
+                rows[x][x] = rows[x].get(x, 0) + s
+        if i is not None and j is not None:
+            rows[i][j] = rows[i].get(j, 0) - s
+            rows[j][i] = rows[j].get(i, 0) - s
+    return GoeritzMatrix(labels, tuple({j: x for j, x in r.items() if x} for r in rows))
 
 
-def _int_det(m):
+def _int_det(rows):
     """Fraction-free elimination (Bareiss) over sparse rows, exact over Z.
 
-    Rows are dicts column -> nonzero entry.  Bareiss keeps every entry a
-    minor of the input, so each division below is exact.  A step would
-    only rescale a row with no entry in the pivot column, by p / prev; it
-    is left as stored instead, its true entries being the stored ones
-    times prev / base[i].  A row the step does change is computed from
-    its stored entries, dividing by base[i] in place of prev.  So a step
-    visits the pivot row and the rows it changes, and only their nonzero
-    entries.
+    Rows are dicts column -> nonzero entry, used up in place.  Bareiss
+    keeps every entry a minor of the input, so each division below is
+    exact.  A step would only rescale a row with no entry in the pivot
+    column, by p / prev; it is left as stored instead, its true entries
+    being the stored ones times prev / base[i].  A row the step does
+    change is computed from its stored entries, dividing by base[i] in
+    place of prev.  So a step visits the pivot row and the rows it
+    changes, and only their nonzero entries.
     """
-    rows = [{j: v for j, v in enumerate(r) if v} for r in m]
     n = len(rows)
     base = [1] * n
     sign = 1

@@ -36,6 +36,29 @@ def reduce_letters(letters):
     return tuple(out)
 
 
+def least_rotation(seq):
+    """The least rotation of a tuple, in linear time.
+
+    Duval's Lyndon factorisation of seq + seq: the last factor that starts
+    in the first copy starts the least rotation (Duval, J. Algorithms 4,
+    1983)."""
+    n = len(seq)
+    ss = seq + seq
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n:
+            x, y = ss[k], ss[j]
+            if y < x:
+                break
+            k = k + 1 if x == y else i
+            j += 1
+        while i <= k:
+            i += j - k
+    return ss[start:start + n]
+
+
 def run_lengths(letters):
     """Run-length encoding [(generator, signed length), ...] of letters."""
     out = []
@@ -133,8 +156,7 @@ class FreeWord:
     def canonical_cyclic(self):
         """Least rotation over the word and its inverse; relator identity key."""
         w = self.cyclic_reduce()
-        return min(r[i:] + r[:i] for r in (w.letters, w.inverse().letters)
-                   for i in range(max(1, len(r))))
+        return min(least_rotation(w.letters), least_rotation(w.inverse().letters))
 
     def __repr__(self):
         return "FreeWord(%s)" % (format_word(self),)

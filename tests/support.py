@@ -118,6 +118,14 @@ def determinantal_divisors(rows, ncols):
     return out
 
 
+def reference_canonical_cyclic(w):
+    """FreeWord.canonical_cyclic as the least of all rotations of the
+    cyclically reduced word and of its inverse, quadratic in the length."""
+    w = w.cyclic_reduce()
+    return min(r[i:] + r[:i] for r in (w.letters, w.inverse().letters)
+               for i in range(max(1, len(r))))
+
+
 def cyclic_conjugate(w, k):
     """Rotate the letters of w left by k, keeping its full-twist power."""
     if not 0 <= k <= len(w.letters):

@@ -88,8 +88,7 @@ def test_mirror_negates_goeritz():
     g1 = goeritz_matrix(closure_white_graph(w))
     g2 = goeritz_matrix(closure_white_graph(mirror(w)))
     assert g1.labels == g2.labels
-    assert all(a == -b for ra, rb in zip(g1.matrix, g2.matrix)
-               for a, b in zip(ra, rb))
+    assert g1.rows == tuple({j: -x for j, x in r.items()} for r in g2.rows)
     assert abs(g1.determinant()) == abs(g2.determinant())
 
 
@@ -164,6 +163,12 @@ def test_shape_mismatch_negative_root_edge():
         to_decorated(bad)
 
 
+def test_shape_mismatch_two_negative_runs():
+    # the negative cycle edges form two runs, so no positive arc exists
+    with pytest.raises(ShapeMismatch, match="not contiguous"):
+        to_decorated(graph_of("s2 s1 s2^-1 s1 s2 s1 s2^-1 s1"))
+
+
 def test_determinant_equals_abelianization_on_type1():
     from b3oracle import burau_determinant
     rng = random.Random(17)
@@ -198,7 +203,7 @@ def test_int_det_matches_leibniz():
             m[-1] = [x + y for x, y in zip(m[0], m[1])]
         want = leibniz_det(m)
         singular += want == 0
-        assert _int_det(m) == want, m
+        assert _int_det([{j: v for j, v in enumerate(r) if v} for r in m]) == want, m
     assert 200 < singular < 1800
 
 

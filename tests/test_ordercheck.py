@@ -337,6 +337,15 @@ def test_certificate_tampering_detected():
         False, ["presentation does not match the certificate parameters"])
     assert time.perf_counter() - t0 < 0.5
 
+    # a genuine certificate of that shape with a_n = 3000 rechecks in time
+    # about linear in its relators' length
+    d = DecoratedCycleGraph(3, (2, 1, 3000), (1, 2))
+    cert = certify_cycle_non_lo(d).to_json()
+    pres = cycle_presentation(d)
+    t0 = time.perf_counter()
+    assert verify_certificate(cert, pres) == (True, [])
+    assert time.perf_counter() - t0 < 0.2
+
 
 # each over-large exponent, with a = (2, 1, 2) and b = (1, 2), gives the
 # problem it must give; the largest of m, a_i and b_i is 3 at m = 3, 2 at m = 1

@@ -74,8 +74,8 @@ def test_cycle_presentation_rejects_degenerate():
 
 def test_cycle_matches_greene_structurally():
     import itertools
-    for n in (1, 2):
-        for m in (1, 2, 3):
+    for n in (1, 2, 3):
+        for m in (1, 2, 3, 4):
             for a in itertools.product((1, 2), repeat=n + 1):
                 for b in itertools.product((1, 2), repeat=n):
                     d = DecoratedCycleGraph(m, a, b)

@@ -15,7 +15,7 @@ from braidcover.rewrite import (FreeWord, RewriteError,
 from braidcover.diagram import DecoratedCycleGraph
 from braidcover.ordercheck import certify_cycle_non_lo, verify_certificate
 from braidcover.presentation import cycle_presentation
-from support import expand_rules
+from support import expand_rules, reference_canonical_cyclic
 
 w = FreeWord.gen
 
@@ -65,6 +65,20 @@ def test_cyclic_reduce_and_canonical():
         for i in range(max(1, len(u))):
             assert FreeWord(u.letters[i:] + u.letters[:i]).canonical_cyclic() == key
         assert u.inverse().canonical_cyclic() == key
+
+
+def test_canonical_cyclic_matches_the_reference():
+    # small alphabets and periodic words give the ties a least-rotation
+    # search must break
+    rng = random.Random(12)
+    words = [FreeWord(), w("a"), w("a", -1)]
+    for _ in range(3000):
+        block = [(rng.choice("ab" if rng.random() < 0.5 else "abc"), rng.choice((1, -1)))
+                 for _ in range(rng.randint(0, 6))]
+        words.append(FreeWord(block * rng.choice((1, 1, 2, 3))))
+    assert sum(len(u) <= 1 for u in words) > 50
+    for u in words:
+        assert u.canonical_cyclic() == reference_canonical_cyclic(u), u
 
 
 def test_format_and_parse_roundtrip():
