@@ -78,11 +78,16 @@ class FreeWord:
     def __init__(self, letters=()):
         self.letters = reduce_letters(letters)
 
+    @classmethod
+    def _reduced(cls, letters):
+        """The word of a letter tuple already known to be freely reduced."""
+        w = cls.__new__(cls)
+        w.letters = letters
+        return w
+
     @staticmethod
     def gen(sym, exp=1):
-        if exp >= 0:
-            return FreeWord(((sym, 1),) * exp)
-        return FreeWord(((sym, -1),) * (-exp))
+        return FreeWord._reduced(((sym, 1 if exp >= 0 else -1),) * abs(exp))
 
     @staticmethod
     def from_pairs(pairs):
@@ -101,7 +106,7 @@ class FreeWord:
         return FreeWord(self.letters + other.letters)
 
     def inverse(self):
-        return FreeWord(tuple((s, -sg) for s, sg in reversed(self.letters)))
+        return FreeWord._reduced(tuple((s, -sg) for s, sg in reversed(self.letters)))
 
     def __pow__(self, n):
         if n == 0:
@@ -151,7 +156,7 @@ class FreeWord:
         while j - i >= 2 and w[i][0] == w[j - 1][0] and w[i][1] == -w[j - 1][1]:
             i += 1
             j -= 1
-        return self if i == 0 else FreeWord(w[i:j])
+        return self if i == 0 else FreeWord._reduced(w[i:j])
 
     def canonical_cyclic(self):
         """Least rotation over the word and its inverse; relator identity key."""

@@ -81,6 +81,25 @@ def test_canonical_cyclic_matches_the_reference():
         assert u.canonical_cyclic() == reference_canonical_cyclic(u), u
 
 
+def test_reduced_constructors_match_reducing_ones():
+    # inverse, gen and cyclic_reduce skip the reduction pass; their letters
+    # must be those the reducing constructor gives
+    rng = random.Random(31)
+    for _ in range(2000):
+        letters = [(rng.choice("abc"), rng.choice((1, -1)))
+                   for _ in range(rng.randint(0, 12))]
+        u = FreeWord(letters)
+        inverse = [(s, -e) for s, e in reversed(u.letters)]
+        assert u.inverse().letters == FreeWord(inverse).letters
+        i = 0
+        while len(u) - 2 * i >= 2 and u.letters[i] == (u.letters[-1 - i][0],
+                                                       -u.letters[-1 - i][1]):
+            i += 1
+        assert u.cyclic_reduce().letters == FreeWord(u.letters[i:len(u) - i]).letters
+        sym, exp = rng.choice("xyz"), rng.randint(-6, 6)
+        assert w(sym, exp).letters == FreeWord([(sym, 1 if exp > 0 else -1)] * abs(exp)).letters
+
+
 def test_format_and_parse_roundtrip():
     for text in ["x1 x0^-1 x1", "y0^3", "1"]:
         assert format_word(parse_word(text), fold=False) == text
