@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .rewrite import reduce_letters, run_lengths
+from .rewrite import FreeWord, least_rotation, reduce_letters, run_lengths
 
 
 class BraidError(Exception):
@@ -181,15 +181,6 @@ class BaldwinClass(namedtuple("BaldwinClass", "kind d a m stopped_at moves",
 NOT_IN_FAMILY = BaldwinClass(0)
 
 
-def _cyclic_reduced(letters):
-    """Free reduction, then the cancelling end pairs peeled in one slice."""
-    letters = reduce_letters(letters)
-    i, j = 0, len(letters) - 1
-    while i < j and letters[i][0] == letters[j][0] and letters[i][1] == -letters[j][1]:
-        i, j = i + 1, j - 1
-    return letters[i:j + 1]
-
-
 def twist_search(letters):
     """Reachable (letters, dd, moves) states under cyclic cancellation and
     twist extraction, breadth first.
@@ -266,15 +257,11 @@ def _type1_units(letters):
     return tuple(a)
 
 
-def _canonical_rotation(seq):
-    return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
-
-
 def _match_state(letters, d):
     """Family shape of one residual word, or None."""
     units = _type1_units(letters)
     if units is not None and d in (-1, 0, 1):
-        return BaldwinClass(1, d=d, a=_canonical_rotation(units))
+        return BaldwinClass(1, d=d, a=least_rotation(units))
     if all(g == 2 for g, _ in letters) and d in (-1, 1):
         return BaldwinClass(2, d=d, m=sum(s for _, s in letters))
     neg2 = [l for l in letters if l == S2I]
@@ -381,8 +368,8 @@ def words_cyclically_equal(w1, w2):
     """Equal up to free reduction and rotation (same fulltwist)."""
     if w1.fulltwist != w2.fulltwist:
         return False
-    a = _encode(_cyclic_reduced(w1.letters))
-    b = _encode(_cyclic_reduced(w2.letters))
+    a = _encode(FreeWord(w1.letters).cyclic_reduce().letters)
+    b = _encode(FreeWord(w2.letters).cyclic_reduce().letters)
     return len(a) == len(b) and b in a + a
 
 
@@ -508,7 +495,7 @@ def _parse_cycle_word(letters):
 def _outcome_from_final(mv, mirrored=False):
     """Read the final cyclic word into a cycle form or a split branch set."""
     final = BraidWord(mv.letters, mv.state[1])
-    reduced = _cyclic_reduced(mv.letters)
+    reduced = FreeWord(mv.letters).cyclic_reduce().letters
     runs = _cyclic_runs(reduced)
     if len(runs) == 2 and {runs[0][0], runs[1][0]} == {1, 2} \
             and runs[0][1] > 0 and runs[1][1] > 0:

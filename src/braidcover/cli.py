@@ -13,7 +13,7 @@ import time
 from .braid import (BraidError, NormalizationError, parse_braid, format_braid,
                     classify_baldwin, expand_fulltwist, exponent_sum,
                     normalize_type1_d1, normalize_type1_dm1, replay_moves,
-                    words_cyclically_equal)
+                    words_cyclically_equal, MAX_LETTERS)
 from .diagram import (DecoratedCycleGraph, DiagramError, closure_white_graph,
                       goeritz_matrix, graph_dot, is_alternating_closure,
                       to_decorated)
@@ -333,6 +333,11 @@ def _batch_entry(line, max_cosets):
             return report, "soundness_failure"
         return report, "inconclusive"
     _, m, a, b = item
+    # the cycle word s2^m s1^a0 s2^-b1 ... s1^an is bounded as a braid line's is
+    size = m + sum(a) + sum(b)
+    if size > MAX_LETTERS:
+        return {"input": line, "error": "cycle word has %d letters, more than "
+                "MAX_LETTERS = %d" % (size, MAX_LETTERS)}, "input_error"
     entry = {"input": line, "params": {"m": m, "a": list(a), "b": list(b)}}
     try:
         dec = DecoratedCycleGraph(m, a, b)

@@ -1,17 +1,20 @@
 """Free-group word engine and replay of the cycle-presentation rewriting lemmas.
 
 Words live in the free group on named generators and are always stored
-freely reduced.  The verifiers in the second half of this module rebuild,
-by explicit generator elimination, the closed forms used to order-obstruct
-the cycle-form presentations: the x-path telescopes and the y-segment
-telescopes (forward and backward).  The two end lemmas write every marked
-y-generator as a positive word over a two-letter alphabet, from either end
-of the cycle.  Those words grow exponentially in the number of segments,
-so they are kept as straight-line programs: named rules Wk (for y_{c_k})
-and Dk (a difference of neighbours), each body a short word over the
-alphabet and earlier names.  check_rules checks each rule by one local
-identity against the arc relators (an end relator, a segment telescope, a
-marked relator) with the earlier names kept opaque, so no lemma word is
+freely reduced.  The verifiers in the second half of this module check
+the closed forms used to order-obstruct the cycle-form presentations: the
+x-path telescope and the y-segment telescopes (forward and backward).
+Each relator along a telescope is checked as the one-step recursion
+u_{i+1} = u_i u_{i-1}^-1 u_i, the closed forms follow by induction, and
+only the end words that the rules substitute are built.  The two end
+lemmas write every marked y-generator as a positive word over a
+two-letter alphabet, from either end of the cycle.  Those words grow
+exponentially in the number of segments, so they are kept as
+straight-line programs: named rules Wk (for y_{c_k}) and Dk (a
+difference of neighbours), each body a short word over the alphabet and
+earlier names.  check_rules checks each rule by one local identity
+against the arc relators (an end relator, a segment telescope, a marked
+relator) with the earlier names kept opaque, so no lemma word is
 expanded.  The product relation is the root relator written over the
 names.  Every failed check raises RewriteError.  left_elimination and
 right_elimination, the full expansions by elimination, are not on the
@@ -306,7 +309,8 @@ def root_relator(a, b):
 
 
 def cycle_relators(m, a, b):
-    """The relator of every vertex of the cycle graph, keyed by generator.
+    """The relator of every vertex of the cycle graph, keyed by generator;
+    the graph needs n = len(b) >= 1 segments.
 
     All relators are written with z already set to 1 except the bare `z`
     itself; `z_rel` is the root vertex relator y_cn^-a_n ... y_0^-a_0.
@@ -314,26 +318,21 @@ def cycle_relators(m, a, b):
     n = len(b)
     if n + 1 != len(a):
         raise ValueError("need len(a) == len(b) + 1")
+    if n < 1:
+        raise ValueError("need n >= 1")
     cn = sum(b)
     c = prefix_sums(b)
     sym = lambda i: x_sym(i, m, cn)
-    w = FreeWord.gen
     rel = {"x%d" % i: _path_relator(sym, i) for i in range(1, m)}
-    if n > 0:
-        rel["y0"] = _end_relator(0, a[0], sym(1))
-        for k in range(1, n):
-            rel["y%d" % c[k]] = _marked_relator(a[k], c[k])
-        rel["y%d" % cn] = _end_relator(cn, a[n], sym(m - 1))
-        marked = set(c)
-        for i in range(1, cn):
-            if i not in marked:
-                rel["y%d" % i] = _unmarked_relator(i)
-    else:
-        # single marked vertex, all-negative cycle through the x path
-        y0 = w("y0")
-        rel["y0"] = (w(sym(1)).inverse() * y0).inverse() * y0 ** a[0] \
-            * (w(sym(m - 1)).inverse() * y0).inverse()
-    rel["z"] = w("z")
+    rel["y0"] = _end_relator(0, a[0], sym(1))
+    for k in range(1, n):
+        rel["y%d" % c[k]] = _marked_relator(a[k], c[k])
+    rel["y%d" % cn] = _end_relator(cn, a[n], sym(m - 1))
+    marked = set(c)
+    for i in range(1, cn):
+        if i not in marked:
+            rel["y%d" % i] = _unmarked_relator(i)
+    rel["z"] = FreeWord.gen("z")
     rel["z_rel"] = root_relator(a, b)
     return rel
 
@@ -349,8 +348,35 @@ class ProofTranscript:
         self.name, self.results = name, results
 
 
+def _check_telescope(relator, sym, lo, hi):
+    """Check that the relator of every u_i, lo < i < hi, says
+    u_{i+1} = u_i u_{i-1}^-1 u_i, where u_j is the generator sym(j).
+
+    relator(i) is solved for u_{i+1} with the generators kept opaque, so
+    each vertex costs one comparison of constant size.  The one equation
+    gives both closed forms of the telescope by induction.  Forward, let
+    A = u_{lo+1} and S = A u_lo^-1; then u_i = S^(i-lo-1) A holds at
+    i = lo and lo + 1, and if it holds at i - 1 and i, with j = i - lo - 1,
+        u_{i+1} = S^j A (S^(j-1) A)^-1 S^j A = S^(j+1) A.
+    Backward, the equation also reads u_{i-1} = u_i u_{i+1}^-1 u_i, and the
+    same induction down from hi gives u_i = (B u_hi^-1)^(hi-i-1) B with
+    B = u_{hi-1}.  Raises RewriteError naming the first vertex whose
+    relator says otherwise.
+    """
+    g = FreeWord.gen
+    for i in range(lo + 1, hi):
+        u = g(sym(i))
+        try:
+            ok = solve_relation(relator(i), sym(i + 1)) == u * g(sym(i - 1)).inverse() * u
+        except RewriteError:
+            ok = False
+        if not ok:
+            raise RewriteError("telescope fails at the relator of %s" % sym(i))
+
+
 def verify_lemma_x(m, cn=None):
-    """x_i = (x1 x0^-1)^(i-1) x1 for 0 <= i <= m, by eliminating up the path.
+    """x_i = (x1 x0^-1)^(i-1) x1 for 0 <= i <= m, by _check_telescope on the
+    path relators.  The results hold the two end words, x_{m-1} and x_m.
 
     With cn given, path ends use the cycle aliases y0 and y{cn}.
     """
@@ -358,78 +384,37 @@ def verify_lemma_x(m, cn=None):
         raise ValueError("m >= 1")
     sym = (lambda i: x_sym(i, m, cn)) if cn is not None else \
         (lambda i: "x%d" % i)
-    w = FreeWord.gen
-    x0, x1 = w(sym(0)), w(sym(1))
-    known = {sym(0): x0, sym(1): x1}
-    closed = {}
-    for i in range(0, m + 1):
-        closed[i] = (x1 * x0.inverse()) ** (i - 1) * x1
-    if closed[0] != x0 or closed[1] != x1:
-        raise RewriteError("closed form fails at the base cases")
-    for i in range(1, m):
-        # relator at x_i, solved for x_{i+1}
-        expr = solve_relation(_path_relator(sym, i), sym(i + 1)).substitute(known)
-        if expr != closed[i + 1]:
-            raise RewriteError("lemma x fails at i=%d" % (i + 1))
-        known[sym(i + 1)] = expr
-    return ProofTranscript("x", {sym(i): closed[i] for i in range(m + 1)})
+    _check_telescope(lambda i: _path_relator(sym, i), sym, 0, m)
+    x0, x1 = FreeWord.gen(sym(0)), FreeWord.gen(sym(1))
+    return ProofTranscript("x", {sym(i): (x1 * x0.inverse()) ** (i - 1) * x1
+                                 for i in (m - 1, m)})
 
 
 def verify_lemma_y(a, b):
     """Forward and backward closed forms on every y segment.
 
-    Forward, for c_{k-1} <= i <= c_k:
-        y_i = (A y_{c_{k-1}}^-1)^(i - c_{k-1} - 1) A,   A = y_{c_{k-1}+1}
-    and backward:
-        y_i = (B y_{c_k}^-1)^(c_k - i - 1) B = B (y_{c_k}^-1 B)^(c_k - i - 1),
-        B = y_{c_k - 1}.
-    Both are derived by eliminating through the unmarked relators and the two
-    backward shapes are checked against each other and against the forward
-    form expressed in the same generators.  The results map "forward" and
-    "backward" to {k: {y_i: its form}} for every segment k; the lemma rules
-    are checked through them.
+    On segment k, with lo = c_{k-1} and hi = c_k, _check_telescope checks
+    the unmarked relators, so for lo <= i <= hi
+        forward:  y_i = (A y_lo^-1)^(i - lo - 1) A,   A = y_{lo+1},
+        backward: y_i = (B y_hi^-1)^(hi - i - 1) B,   B = y_{hi-1}.
+    The results map "forward" and "backward" to {k: {y_i: its form}},
+    holding the end words _rule_targets substitutes: forward y_{hi-1} and
+    y_hi, backward y_lo and y_{lo+1}.
     """
     n = len(b)
     if n < 1:
         raise ValueError("need n >= 1")
-    w = FreeWord.gen
+    y = lambda i: FreeWord.gen("y%d" % i)
     c = prefix_sums(b)
     forms = {"forward": {}, "backward": {}}
     for k in range(1, n + 1):
         lo, hi = c[k - 1], c[k]
-        A = w("y%d" % (lo + 1))
-        ylo = w("y%d" % lo)
-        fwd = {lo: ylo, lo + 1: A}
-        for i in range(lo + 1, hi):
-            expr = solve_relation(_unmarked_relator(i), "y%d" % (i + 1))
-            expr = expr.substitute({"y%d" % i: fwd[i], "y%d" % (i - 1): fwd[i - 1]})
-            fwd[i + 1] = expr
-        step = A * ylo.inverse()
-        for i in range(lo, hi + 1):
-            if fwd[i] != step ** (i - lo - 1) * A:
-                raise RewriteError("forward form fails in segment %d at i=%d" % (k, i))
-        B = w("y%d" % (hi - 1))
-        yhi = w("y%d" % hi)
-        bwd = {hi: yhi, hi - 1: B}
-        for i in range(hi - 1, lo, -1):
-            expr = solve_relation(_unmarked_relator(i), "y%d" % (i - 1))
-            expr = expr.substitute({"y%d" % i: bwd[i], "y%d" % (i + 1): bwd[i + 1]})
-            bwd[i - 1] = expr
-        step1, step2 = B * yhi.inverse(), yhi.inverse() * B
-        for i in range(lo, hi + 1):
-            want1 = step1 ** (hi - i - 1) * B
-            want2 = B * step2 ** (hi - i - 1)
-            if bwd[i] != want1 or want1 != want2:
-                raise RewriteError("backward form fails in segment %d at i=%d" % (k, i))
-        # cross-check inside the forward block: the backward expressions,
-        # with their base points rewritten forward, reproduce the forward
-        # forms
-        base = {"y%d" % (hi - 1): fwd[hi - 1], "y%d" % hi: fwd[hi]}
-        for i in range(lo, hi + 1):
-            if bwd[i].substitute(base) != fwd[i]:
-                raise RewriteError("forward/backward mismatch in segment %d at i=%d" % (k, i))
-        forms["forward"][k] = {"y%d" % i: f for i, f in fwd.items()}
-        forms["backward"][k] = {"y%d" % i: f for i, f in bwd.items()}
+        _check_telescope(_unmarked_relator, lambda i: "y%d" % i, lo, hi)
+        A, B = y(lo + 1), y(hi - 1)
+        forms["forward"][k] = {"y%d" % i: (A * y(lo).inverse()) ** (i - lo - 1) * A
+                               for i in (hi - 1, hi)}
+        forms["backward"][k] = {"y%d" % i: (B * y(hi).inverse()) ** (hi - i - 1) * B
+                                for i in (lo, lo + 1)}
     return ProofTranscript("y", forms)
 
 
@@ -544,7 +529,9 @@ def _rule_targets(d, side, segments):
     relators: the end relator for D0 (Dn on the right), the segment
     telescope of verify_lemma_y for Wk (forward on the left, backward on
     the right; `segments` is that lemma's transcript), and that telescope
-    with the marked relator at y_{c_k} for the other Dk.
+    with the marked relator at y_{c_k} for the other Dk.  The telescope
+    leaves its base pair as it is, so a substitution needs only the two
+    end words next to y_{c_k}.
     """
     a, c, n, cn = d.a, d.c, d.n, d.cn
     y = lambda i: FreeWord.gen("y%d" % i)
@@ -590,8 +577,9 @@ def check_rules(d, side, rules, segments=None):
     substitution has rewritten both.  The substitutions come from the arc
     relators, so each rule holds in the group, and by induction every name
     expands to a positive word over the alphabet that equals what the name
-    stands for.  Earlier names stay opaque: no body is expanded, so the
-    cost is polynomial in the parameters.  `segments` is verify_lemma_y's
+    stands for.  Earlier names stay opaque and each substitution holds
+    two end words of one segment, so no body is expanded and the cost is
+    linear in the parameters.  `segments` is verify_lemma_y's
     transcript for d, derived here when not given.  Raises RewriteError at
     the first rule that fails.  Returns ({name: body}, words), words[i]
     being the word both sides of the i-th rule were rewritten to.

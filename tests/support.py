@@ -2,10 +2,10 @@
 determinant oracle, the Smith diagonal from determinantal divisors, braid
 rotation, the family (1) normalizer dispatch, a coset table printout, the
 expansion of straight-line lemma rules, and the references the faster code
-must reproduce: the letter-tuple twist search, the Tietze
-simplification that printed every relator and the face walk that started
-each face at the least unvisited edge end; and the benchmark's workload
-lines."""
+must reproduce: the telescope words by elimination, the letter-tuple twist
+search, the Tietze simplification that printed every relator and the face
+walk that started each face at the least unvisited edge end; and the
+benchmark's workload lines."""
 
 import itertools
 import os
@@ -17,7 +17,9 @@ from braidcover.braid import (BraidError, BraidWord, NormalizationError,
                               TWIST_NEG, TWIST_POS, classify_baldwin,
                               normalize_type1_d1, normalize_type1_dm1)
 from braidcover.presentation import GroupPresentation
-from braidcover.rewrite import FreeWord, reduce_letters, solve_relation
+from braidcover.rewrite import (FreeWord, _path_relator, _unmarked_relator,
+                                prefix_sums, reduce_letters, solve_relation,
+                                x_sym)
 
 
 def presentation_from_json(data):
@@ -153,6 +155,39 @@ def expand_rules(rules, alphabet):
     out = dict(alphabet)
     for name, body in dict(rules).items():
         out[name] = body.substitute(out)
+    return out
+
+
+def reference_lemma_x(m, cn=None):
+    """Every x_i, 0 <= i <= m, derived by solving the path relators one at
+    a time up the path, each result substituted into the next: the
+    elimination that verify_lemma_x's closed form must reproduce."""
+    sym = (lambda i: x_sym(i, m, cn)) if cn is not None else \
+        (lambda i: "x%d" % i)
+    known = {sym(0): FreeWord.gen(sym(0)), sym(1): FreeWord.gen(sym(1))}
+    for i in range(1, m):
+        known[sym(i + 1)] = solve_relation(_path_relator(sym, i),
+                                           sym(i + 1)).substitute(known)
+    return known
+
+
+def reference_lemma_y(b):
+    """Every y_i of every segment derived by elimination through the
+    unmarked relators, forward from y_{c_{k-1}} and y_{c_{k-1}+1} and
+    backward from y_{c_k} and y_{c_k - 1}: {"forward"|"backward": {k:
+    {y_i: word}}}, the shape verify_lemma_y's results take."""
+    y = lambda i: FreeWord.gen("y%d" % i)
+    c = prefix_sums(b)
+    out = {"forward": {}, "backward": {}}
+    for k in range(1, len(b) + 1):
+        lo, hi = c[k - 1], c[k]
+        for side, first, step in (("forward", lo, 1), ("backward", hi, -1)):
+            known = {"y%d" % first: y(first),
+                     "y%d" % (first + step): y(first + step)}
+            for i in range(first + step, hi if step == 1 else lo, step):
+                known["y%d" % (i + step)] = solve_relation(
+                    _unmarked_relator(i), "y%d" % (i + step)).substitute(known)
+            out[side][k] = known
     return out
 
 

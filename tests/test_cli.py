@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -275,6 +276,26 @@ def test_oversized_word_is_an_input_error(tmp_path):
     assert err.value.code == 2
     assert main(["pipeline", "h^200000", "--dot", str(dot)]) == 2
     assert not dot.exists()
+
+
+def test_oversized_grid_line_is_an_input_error():
+    # s2^3 s1^999999 s2^-1 s1^2 has more letters than a braid line may
+    line = "(3; 999999,2; 1)"
+    t0 = time.perf_counter()
+    results, counts = run_batch([line])
+    assert time.perf_counter() - t0 < 0.5
+    assert results == [{"input": line, "error": "cycle word has 1000005 letters, "
+                        "more than MAX_LETTERS = 1000000"}]
+    assert counts["input_error"] == 1
+    results, counts = run_batch(["(3; 1,1,1; 1,1)"])
+    assert results[0]["verdict"] == "NonLO_Certified" and counts["ok"] == 1
+
+
+def test_long_segment_certifies_fast():
+    t0 = time.perf_counter()
+    report, code = run_pipeline("h s1 s2^-201 s1 s2^-2", canonical=True)
+    assert time.perf_counter() - t0 < 0.5
+    assert (code, report["verdict"]["verdict"]) == (0, "NonLO_Certified")
 
 
 def test_batch_empty(tmp_path):

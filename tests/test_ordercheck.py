@@ -347,6 +347,17 @@ def test_certificate_tampering_detected():
     assert time.perf_counter() - t0 < 0.2
 
 
+def test_long_telescopes_recheck_fast():
+    # each telescope relator is checked once, by its one-step recursion,
+    # so the recheck is linear in a segment's length b_k and in m
+    for params in [(3, (2, 2), (500,)), (1000, (2, 1, 2), (1, 2))]:
+        d = DecoratedCycleGraph(*params)
+        cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+        t0 = time.perf_counter()
+        assert verify_certificate(cert, pres) == (True, [])
+        assert time.perf_counter() - t0 < 0.5, params
+
+
 # each over-large exponent, with a = (2, 1, 2) and b = (1, 2), gives the
 # problem it must give; the largest of m, a_i and b_i is 3 at m = 3, 2 at m = 1
 EXPONENT_TAMPERING = [

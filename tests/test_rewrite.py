@@ -11,11 +11,13 @@ from braidcover.rewrite import (FreeWord, RewriteError,
                                 verify_lemma_left, verify_lemma_right,
                                 verify_product_relation,
                                 left_elimination, right_elimination,
-                                left_alphabet, right_alphabet, QL, QR)
+                                left_alphabet, right_alphabet, QL, QR,
+                                prefix_sums, x_sym)
 from braidcover.diagram import DecoratedCycleGraph
 from braidcover.ordercheck import certify_cycle_non_lo, verify_certificate
 from braidcover.presentation import cycle_presentation
-from support import expand_rules, reference_canonical_cyclic
+from support import (expand_rules, reference_canonical_cyclic,
+                     reference_lemma_x, reference_lemma_y)
 
 w = FreeWord.gen
 
@@ -152,6 +154,43 @@ def test_lemma_y_one_substitution_step():
 
 def test_lemma_y_forward_backward_agreement():
     verify_lemma_y((1, 1), (3,))
+
+
+def test_telescope_end_words_match_elimination():
+    # the closed forms, built only at the ends, are the words that
+    # eliminating along the whole path or segment derives
+    for m in range(1, 9):
+        for cn in (None, 3):
+            want = reference_lemma_x(m, cn)
+            ends = [x_sym(i, m, cn) if cn else "x%d" % i for i in (m - 1, m)]
+            assert verify_lemma_x(m, cn).results == {s: want[s] for s in ends}, (m, cn)
+    for n in (1, 2, 3):
+        for b in itertools.product(range(1, 9), repeat=n):
+            got = verify_lemma_y((1,) * (n + 1), b).results
+            want = reference_lemma_y(b)
+            c = prefix_sums(b)
+            for k in range(1, n + 1):
+                lo, hi = c[k - 1], c[k]
+                for side, ends in (("forward", (hi - 1, hi)), ("backward", (lo, lo + 1))):
+                    assert got[side][k] == {"y%d" % i: want[side][k]["y%d" % i]
+                                            for i in ends}, (b, k, side)
+
+
+def test_telescope_names_the_vertex_whose_relator_is_wrong(monkeypatch):
+    unmarked, path = rewrite._unmarked_relator, rewrite._path_relator
+    # y5, inside the second segment of b = (3, 4), gets an extra letter
+    monkeypatch.setattr(rewrite, "_unmarked_relator",
+                        lambda i: unmarked(i) * w("y5") if i == 5 else unmarked(i))
+    verify_lemma_y((1, 1), (4,))
+    with pytest.raises(RewriteError, match=r"relator of y5$"):
+        verify_lemma_y((1, 1, 1), (3, 4))
+    # x3 loses its successor, so its relator cannot be solved for x4
+    monkeypatch.setattr(rewrite, "_path_relator", lambda sym, i: path(sym, i).substitute(
+        {sym(i + 1): w(sym(i - 1))}) if i == 3 else path(sym, i))
+    verify_lemma_x(3)
+    for cn in (None, 2):
+        with pytest.raises(RewriteError, match=r"relator of x3$"):
+            verify_lemma_x(6, cn)
 
 
 def test_lemma_left_examples():
@@ -319,6 +358,9 @@ def test_cycle_relators_shapes():
     assert rel["z_rel"] == parse_word("y2^-1 y1^-1 y0^-1")
     # relator of an interior marked vertex
     assert rel["y1"] == parse_word("y0^-1 y1 y1 y2^-1 y1")
+    # a cycle graph has at least one y segment
+    with pytest.raises(ValueError):
+        cycle_relators(3, [2], [])
 
 
 def test_all_verifiers_pass():
