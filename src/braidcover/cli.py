@@ -15,8 +15,8 @@ from .braid import (BraidError, NormalizationError, parse_braid, format_braid,
                     normalize_type1_d1, normalize_type1_dm1, replay_moves,
                     words_cyclically_equal, MAX_LETTERS)
 from .diagram import (DecoratedCycleGraph, DiagramError, closure_white_graph,
-                      goeritz_matrix, graph_dot, is_alternating_closure,
-                      to_decorated)
+                      cycle_graph_from_params, cycle_names, goeritz_matrix,
+                      graph_dot, is_alternating_closure, to_decorated)
 from .presentation import (AbelianInvariants, greene_presentation,
                            cycle_presentation, abelianize, tietze_simplify)
 from .ordercheck import (Exhausted, HypothesisNotMet, InfiniteGroup,
@@ -190,13 +190,15 @@ def _cycle_route(report, w, cls):
     if to_decorated(graph2) != dec:
         raise SoundnessError("normalized word does not rebuild the cycle graph")
     report["decorated"] = dec.to_json()
-    pres = cycle_presentation(dec)
+    # the certificate is checked against the diagram the verdict is about
+    graph2 = cycle_names(graph2, dec.m)
+    pres = cycle_presentation(graph2)
     report["cycle_presentation"] = pres.to_json()
     det2 = abs(goeritz_matrix(graph2).determinant())
     if det2 != det:
         raise SoundnessError("normalization changed the diagram determinant")
     try:
-        cert = certify_cycle_non_lo(dec)
+        cert = certify_cycle_non_lo(dec, graph2)
     except HypothesisNotMet as e:
         report["verdict"] = Verdict(VERDICT_INCONCLUSIVE, str(e),
                                     machine_checked=False).to_json()
@@ -341,8 +343,9 @@ def _batch_entry(line, max_cosets):
     entry = {"input": line, "params": {"m": m, "a": list(a), "b": list(b)}}
     try:
         dec = DecoratedCycleGraph(m, a, b)
-        cert = certify_cycle_non_lo(dec)
-        ok, problems = verify_certificate(cert.to_json(), cycle_presentation(dec))
+        g = cycle_graph_from_params(m, a, b)
+        cert = certify_cycle_non_lo(dec, g)
+        ok, problems = verify_certificate(cert.to_json(), cycle_presentation(g))
         if not ok:
             entry["error"] = "recheck failed: %s" % problems
             return entry, "soundness_failure"

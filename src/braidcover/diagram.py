@@ -212,22 +212,28 @@ class DecoratedCycleGraph(namedtuple("DecoratedCycleGraph", "m a b")):
 
 def cycle_graph_from_params(m, a, b):
     """White graph of the closure of s2^m s1^{a0} s2^{-b1} ... s1^{an},
-    with the regions named after the cycle-form generators.
-
-    Band segment j is x_{m-1-j} for j < m - 1 and y_{j-m+1} from there on,
-    so y0 follows the s2^m block and y_{c_k} carries the s1^{a_k} spokes;
-    the hub is z.
-    """
+    with the regions named after the cycle-form generators (cycle_names)."""
     d = DecoratedCycleGraph(m, a, b)
     letters = [(2, 1)] * d.m + [(1, 1)] * d.a[0]
     for bk, ak in zip(d.b, d.a[1:]):
         letters += [(2, -1)] * bk + [(1, 1)] * ak
-    g = closure_white_graph(BraidWord(letters))
-    name = {"r": "z"}
-    for j in range(d.m + d.cn):
-        name["w%d" % j] = "x%d" % (d.m - 1 - j) if j < d.m - 1 else "y%d" % (j - d.m + 1)
-    vertices = ["y%d" % i for i in range(d.cn + 1)] + \
-               ["x%d" % i for i in range(1, d.m)] + ["z"]
+    return cycle_names(closure_white_graph(BraidWord(letters)), d.m)
+
+
+def cycle_names(g, m):
+    """closure_white_graph's graph of a cycle word whose s2 crossings start
+    with its s2^m block, its regions renamed after the cycle-form
+    generators.
+
+    Band segment j is x_{m-1-j} for j < m - 1 and y_{j-m+1} from there on,
+    so y0 follows the s2^m block and y_{c_k} carries the s1^{a_k} spokes;
+    the hub is z.  The vertices are y0..y_cn, x1..x_{m-1}, z.
+    """
+    cn = len(g.vertices) - 1 - m
+    name = {g.root: "z"}
+    for j in range(m + cn):
+        name["w%d" % j] = "x%d" % (m - 1 - j) if j < m - 1 else "y%d" % (j - m + 1)
+    vertices = ["y%d" % i for i in range(cn + 1)] + ["x%d" % i for i in range(1, m)] + ["z"]
     return CheckerboardGraph(tuple(vertices),
                              tuple((name[u], name[v], s) for u, v, s in g.edges),
                              {name[v]: ends for v, ends in g.rotations.items()},

@@ -2,7 +2,9 @@
 
 Three routes: the sign-deduction certificate for cycle-form presentations,
 HLT coset enumeration to witness finite groups, and torsion of a known
-cyclic (or lens-space connected-sum) cover.  The finite route enumerates
+cyclic (or lens-space connected-sum) cover.  A certificate is rechecked
+against the cycle presentation of its parameters' graph, whose relators
+the lemmas are re-derived from.  The finite route enumerates
 the cosets of a cyclic subgroup H and reads |H| off the abelianized
 Reidemeister-Schreier presentation of H over the closed table, so |G| =
 [G:H] |H|.  The same subgroup abelianization proves a group infinite,
@@ -477,9 +479,9 @@ def _mixed_sign_vertices(g):
     return out
 
 
-def _wlog_record(d):
-    """The extremal-candidate predicate: only y0 and y_cn see mixed signs."""
-    g = cycle_graph_from_params(d.m, d.a, d.b)
+def _wlog_record(d, g):
+    """The extremal-candidate predicate on d's cycle graph g: only y0 and
+    y_cn see mixed signs."""
     mixed = _mixed_sign_vertices(g)
     want = {"y0", "y%d" % d.cn}
     return {"mixed_sign_vertices": sorted(mixed),
@@ -489,8 +491,10 @@ def _wlog_record(d):
                       "by order reversal)" % d.cn}
 
 
-def certify_cycle_non_lo(d):
-    """Build the non-left-orderability certificate for a cycle-form graph.
+def certify_cycle_non_lo(d, g):
+    """Build the non-left-orderability certificate for the cycle form d,
+    whose cycle graph (regions named as diagram.cycle_names names them)
+    is g.
 
     Requires n >= 1 and the hypothesis (m > 1, or m = 1 with a0, an > 1).
     The result is unverified: `verify_certificate` is the one check that
@@ -503,7 +507,7 @@ def certify_cycle_non_lo(d):
         raise HypothesisNotMet("need m > 1, or m = 1 with a0 > 1 and an > 1")
     m, a, b = d.m, d.a, d.b
     cn = d.cn
-    wlog = _wlog_record(d)
+    wlog = _wlog_record(d, g)
     if not wlog["ok"]:
         raise SoundnessError("extremal-candidate predicate failed")
     y0 = FreeWord.gen("y0")
@@ -553,16 +557,29 @@ def certify_cycle_non_lo(d):
     return NonLOCertificate(m, a, b, case, wlog, steps, (0, len(steps) - 1))
 
 
+def arc_relators(d, own):
+    """{region: relator} for the lemmas of the cycle form d, whose cycle
+    presentation is own: own's relators keyed by their generators, the
+    root relator under "z".  For m = 1 they are read from the graph of
+    (2, a, b) instead, whose path-end neighbour x1 stays formal (see the
+    comment above rewrite.LEFT_X)."""
+    if d.m == 1:
+        own = cycle_presentation(cycle_graph_from_params(2, d.a, d.b))
+    return dict(zip(own.generators + ("z",), own.relators))
+
+
 def verify_certificate(cert_json, pres):
     """Recheck a certificate against a presentation, from the JSON alone.
 
-    Re-derives every lemma fact from the parameters once, checks the
-    lemma-right rules the certificate carries against the arc relators,
-    re-checks every sign inference, and confirms the contradiction.
-    Parameters too large for the presentation are refused before anything
-    is built from them, and every word it reads has its exponents bounded
-    by the largest of m, a_i and b_i before any letters are built.  Returns
-    (ok, problems); malformed input is a problem, never an exception.
+    Builds the cycle graph of the parameters once: pres must have its
+    relators, and the extremal-candidate predicate and every lemma fact
+    are re-derived from it.  Checks the lemma-right rules the certificate
+    carries against the arc relators, re-checks every sign inference, and
+    confirms the contradiction.  Parameters too large for the presentation
+    are refused before anything is built from them, and every word it
+    reads has its exponents bounded by the largest of m, a_i and b_i
+    before any letters are built.  Returns (ok, problems); malformed input
+    is a problem, never an exception.
     """
     problems = []
     try:
@@ -572,23 +589,27 @@ def verify_certificate(cert_json, pres):
         return False, ["bad parameters: %s" % e]
     if d.n < 1:     # no y segments: no cycle presentation and no lemma
         return False, ["hypothesis fails for the stated parameters: n = 0"]
-    # the parameters' presentation has m + cn + 1 generators and the
-    # relator y_cn^-an ... y0^-a0; refuse what pres cannot hold before
-    # building anything from parameters of unchecked size
-    if d.m + d.cn + 1 > len(pres.generators) or \
+    # the parameters' presentation has m + cn generators (the root is
+    # killed) and a root relator of sum(a) letters; refuse what pres cannot
+    # hold before building anything from parameters of unchecked size
+    if d.m + d.cn > len(pres.generators) or \
             sum(d.a) > max(map(len, pres.relators), default=0):
         return False, ["presentation does not match the certificate parameters"]
-    if not relator_sets_equal(pres, cycle_presentation(d)):
+    g = cycle_graph_from_params(d.m, d.a, d.b)
+    own = cycle_presentation(g)
+    if not relator_sets_equal(pres, own):
         problems.append("presentation does not match the certificate parameters")
     if not d.hypothesis_ok():
         problems.append("hypothesis fails for the stated parameters")
     try:
-        segments = verify_lemma_y(d.a, d.b)
-        verify_product_relation(d, segments)
+        rel = arc_relators(d, own)
+        segments = verify_lemma_y(rel, d.b)
+        verify_product_relation(d, rel, segments)
         lemmas = {
+            "rel": rel,
             "segments": segments,
-            "lemma_x": verify_lemma_x(d.m, d.cn) if d.m > 1 else None,
-            "wlog": _wlog_record(d),
+            "lemma_x": verify_lemma_x(rel, d.m, d.cn) if d.m > 1 else None,
+            "wlog": _wlog_record(d, g),
         }
     except Exception as e:
         return False, ["lemma replay failed: %s" % e]
@@ -665,7 +686,8 @@ def _check_step(problems, d, cert_json, steps, idx, lemmas, bound):
             # y0, so y0 is a product of the two factors
             rules = [(name, parse_word(text, bound)) for name, text in payload["rules"]]
             try:
-                checked, _ = verify_lemma_right(d, rules, lemmas["segments"])
+                checked, _ = verify_lemma_right(d, lemmas["rel"], rules,
+                                                lemmas["segments"])
             except RewriteError as e:
                 problems.append("step %d: lemma-right rules fail: %s" % (idx, e))
             else:

@@ -2,7 +2,10 @@
 
 One generator per white region; at each vertex the relator multiplies
 (x_j^-1 x_i)^sign over the incident edge ends in rotation order, and the
-root generator is killed.  Abelian invariants come from the integer Smith
+root generator is killed.  This is the one place a vertex relator is
+spelled: the cycle presentation, which the certificate and its lemmas
+read their relators from, is the Greene presentation of a cycle graph
+with its root relator kept.  Abelian invariants come from the integer Smith
 normal form of the exponent matrix, which cross-checks the Goeritz
 determinant of the same graph; the Smith form is one sparse elimination
 that pivots on a least entry.  Tietze simplification removes generators
@@ -17,14 +20,10 @@ import heapq
 from collections import defaultdict, namedtuple
 from math import gcd, inf
 
-from .rewrite import FreeWord, cycle_relators, format_word
+from .rewrite import FreeWord, format_word
 
 
 class PresentationError(Exception):
-    pass
-
-
-class DegenerateShape(PresentationError):
     pass
 
 
@@ -47,18 +46,18 @@ class GroupPresentation(namedtuple("GroupPresentation", "generators relators")):
                                 ", ".join(format_word(r) for r in self.relators))
 
 
-def greene_presentation(g, keep_root_relator=False):
+def greene_presentation(g, keep_root=False):
     """Presentation of the branched double cover group from a white graph.
 
     The root generator is killed: its letters are left out of every
-    relator, which is then freely reduced once.  The root vertex relator is
-    redundant (the vertex relations have one global dependency) and is
-    built only when keep_root_relator is set.
+    relator, which is then freely reduced once.  One relator per generator,
+    in the order of g.vertices.  The root vertex relator is redundant (the
+    vertex relations have one global dependency); it is built only when
+    keep_root is set, and then comes last.
     """
+    gens = tuple(v for v in g.vertices if v != g.root)
     rels = []
-    for v in g.vertices:
-        if v == g.root and not keep_root_relator:
-            continue
+    for v in gens + (g.root,) * keep_root:
         letters = []
         for i, end in g.rotations[v]:
             a, b, s = g.edges[i]
@@ -67,22 +66,16 @@ def greene_presentation(g, keep_root_relator=False):
             pair = ((other, -1), (v, 1)) if s > 0 else ((v, -1), (other, 1))
             letters.extend(pair * abs(s))
         rels.append(FreeWord([x for x in letters if x[0] != g.root]))
-    gens = tuple(v for v in g.vertices if v != g.root)
     return GroupPresentation(gens, tuple(rels))
 
 
-def cycle_presentation(d):
-    """The explicit relator list of the cycle-form graphs, for n > 0.
-
-    Generators x1..x_{m-1}, y0..y_{cn}, z; relators r(x_i), r(y_j), the
-    bare z, and r(z) = y_cn^-an ... y0^-a0.
-    """
-    if d.n < 1:
-        raise DegenerateShape("n = 0 cycle forms have no y segments")
-    rel = cycle_relators(d.m, list(d.a), list(d.b))
-    gens = tuple("x%d" % i for i in range(1, d.m)) + \
-        tuple("y%d" % i for i in range(d.cn + 1)) + ("z",)
-    return GroupPresentation(gens, tuple(rel[k] for k in gens + ("z_rel",)))
+def cycle_presentation(g):
+    """The cycle presentation: the Greene presentation of a cycle graph g,
+    its regions named as diagram.cycle_names names them, with the root
+    relator kept.  Generators y0..y_cn and x1..x_{m-1}; relator i belongs
+    to generator i, and the last one, over the marked y's alone, to the
+    root z."""
+    return greene_presentation(g, keep_root=True)
 
 
 # ---------------------------------------------------------------------------

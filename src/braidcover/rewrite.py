@@ -4,7 +4,10 @@ Words live in the free group on named generators and are always stored
 freely reduced.  The verifiers in the second half of this module check
 the closed forms used to order-obstruct the cycle-form presentations: the
 x-path telescope and the y-segment telescopes (forward and backward).
-Each relator along a telescope is checked as the one-step recursion
+Every relator they check is read from `rel`, a {region: relator} map of
+the cycle graph's own presentation that the caller passes in; no relator
+is spelled here, and solve_relation gives the same word under any
+rotation or inversion of a relator.  Each relator along a telescope is checked as the one-step recursion
 u_{i+1} = u_i u_{i-1}^-1 u_i, the closed forms follow by induction, and
 only the end words that the rules substitute are built.  The two end
 lemmas write every marked y-generator as a positive word over a
@@ -246,10 +249,13 @@ def solve_relation(r, g):
 
 
 # ---------------------------------------------------------------------------
-# Cycle-form relators.
+# Cycle-form names.
 #
 # Generators: y0..y{cn} around the positive arc, x1..x{m-1} on the negative
-# arc, z for the root.  x0 and xm are aliases of y0 and y{cn}.
+# arc; the root z is killed.  x0 and xm are aliases of y0 and y{cn}.  The
+# verifiers read every relator they check from `rel`, a {region: relator}
+# map of a cycle graph's presentation, the root's under "z".  The caller
+# builds it (ordercheck.arc_relators), as this module cannot import diagram.
 # ---------------------------------------------------------------------------
 
 def prefix_sums(b):
@@ -269,74 +275,6 @@ def x_sym(i, m, cn):
     return "x%d" % i
 
 
-def _path_relator(sym, i):
-    """Relator of x_i on the negative path; sym(j) names x_j."""
-    w = FreeWord.gen
-    xi = w(sym(i))
-    return (w(sym(i + 1)).inverse() * xi).inverse() \
-        * (w(sym(i - 1)).inverse() * xi).inverse()
-
-
-def _unmarked_relator(i):
-    w = FreeWord.gen
-    yi = w("y%d" % i)
-    return (w("y%d" % (i + 1)).inverse() * yi) * (w("y%d" % (i - 1)).inverse() * yi)
-
-
-def _marked_relator(a_k, i):
-    w = FreeWord.gen
-    yc = w("y%d" % i)
-    return (w("y%d" % (i - 1)).inverse() * yc) * yc ** a_k \
-        * (w("y%d" % (i + 1)).inverse() * yc)
-
-
-def _end_relator(i, a_k, x):
-    """Relator of the arc end y_i (y0 or y_cn, with a_k root edges); x names
-    the path-end vertex across its negative edge."""
-    w = FreeWord.gen
-    yi = w("y%d" % i)
-    across = (w(x).inverse() * yi).inverse()
-    if i == 0:
-        return across * yi ** a_k * (w("y1").inverse() * yi)
-    return (w("y%d" % (i - 1)).inverse() * yi) * yi ** a_k * across
-
-
-def root_relator(a, b):
-    """Relator of the root vertex, y_cn^-a_n ... y_c1^-a_1 y_0^-a_0."""
-    c = prefix_sums(b)
-    return FreeWord([("y%d" % c[k], -1) for k in range(len(b), -1, -1)
-                     for _ in range(a[k])])
-
-
-def cycle_relators(m, a, b):
-    """The relator of every vertex of the cycle graph, keyed by generator;
-    the graph needs n = len(b) >= 1 segments.
-
-    All relators are written with z already set to 1 except the bare `z`
-    itself; `z_rel` is the root vertex relator y_cn^-a_n ... y_0^-a_0.
-    """
-    n = len(b)
-    if n + 1 != len(a):
-        raise ValueError("need len(a) == len(b) + 1")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    cn = sum(b)
-    c = prefix_sums(b)
-    sym = lambda i: x_sym(i, m, cn)
-    rel = {"x%d" % i: _path_relator(sym, i) for i in range(1, m)}
-    rel["y0"] = _end_relator(0, a[0], sym(1))
-    for k in range(1, n):
-        rel["y%d" % c[k]] = _marked_relator(a[k], c[k])
-    rel["y%d" % cn] = _end_relator(cn, a[n], sym(m - 1))
-    marked = set(c)
-    for i in range(1, cn):
-        if i not in marked:
-            rel["y%d" % i] = _unmarked_relator(i)
-    rel["z"] = FreeWord.gen("z")
-    rel["z_rel"] = root_relator(a, b)
-    return rel
-
-
 # ---------------------------------------------------------------------------
 # Lemma replay.
 # ---------------------------------------------------------------------------
@@ -348,11 +286,11 @@ class ProofTranscript:
         self.name, self.results = name, results
 
 
-def _check_telescope(relator, sym, lo, hi):
+def _check_telescope(rel, sym, lo, hi):
     """Check that the relator of every u_i, lo < i < hi, says
     u_{i+1} = u_i u_{i-1}^-1 u_i, where u_j is the generator sym(j).
 
-    relator(i) is solved for u_{i+1} with the generators kept opaque, so
+    rel[u_i] is solved for u_{i+1} with the generators kept opaque, so
     each vertex costs one comparison of constant size.  The one equation
     gives both closed forms of the telescope by induction.  Forward, let
     A = u_{lo+1} and S = A u_lo^-1; then u_i = S^(i-lo-1) A holds at
@@ -367,34 +305,32 @@ def _check_telescope(relator, sym, lo, hi):
     for i in range(lo + 1, hi):
         u = g(sym(i))
         try:
-            ok = solve_relation(relator(i), sym(i + 1)) == u * g(sym(i - 1)).inverse() * u
+            ok = solve_relation(rel[sym(i)], sym(i + 1)) == u * g(sym(i - 1)).inverse() * u
         except RewriteError:
             ok = False
         if not ok:
             raise RewriteError("telescope fails at the relator of %s" % sym(i))
 
 
-def verify_lemma_x(m, cn=None):
+def verify_lemma_x(rel, m, cn):
     """x_i = (x1 x0^-1)^(i-1) x1 for 0 <= i <= m, by _check_telescope on the
-    path relators.  The results hold the two end words, x_{m-1} and x_m.
-
-    With cn given, path ends use the cycle aliases y0 and y{cn}.
+    path relators in rel, the path ends being the aliases y0 and y{cn}.
+    The results hold the two end words, x_{m-1} and x_m.
     """
     if m < 1:
         raise ValueError("m >= 1")
-    sym = (lambda i: x_sym(i, m, cn)) if cn is not None else \
-        (lambda i: "x%d" % i)
-    _check_telescope(lambda i: _path_relator(sym, i), sym, 0, m)
+    sym = lambda i: x_sym(i, m, cn)
+    _check_telescope(rel, sym, 0, m)
     x0, x1 = FreeWord.gen(sym(0)), FreeWord.gen(sym(1))
     return ProofTranscript("x", {sym(i): (x1 * x0.inverse()) ** (i - 1) * x1
                                  for i in (m - 1, m)})
 
 
-def verify_lemma_y(a, b):
+def verify_lemma_y(rel, b):
     """Forward and backward closed forms on every y segment.
 
     On segment k, with lo = c_{k-1} and hi = c_k, _check_telescope checks
-    the unmarked relators, so for lo <= i <= hi
+    the unmarked relators in rel, so for lo <= i <= hi
         forward:  y_i = (A y_lo^-1)^(i - lo - 1) A,   A = y_{lo+1},
         backward: y_i = (B y_hi^-1)^(hi - i - 1) B,   B = y_{hi-1}.
     The results map "forward" and "backward" to {k: {y_i: its form}},
@@ -409,7 +345,7 @@ def verify_lemma_y(a, b):
     forms = {"forward": {}, "backward": {}}
     for k in range(1, n + 1):
         lo, hi = c[k - 1], c[k]
-        _check_telescope(_unmarked_relator, lambda i: "y%d" % i, lo, hi)
+        _check_telescope(rel, lambda i: "y%d" % i, lo, hi)
         A, B = y(lo + 1), y(hi - 1)
         forms["forward"][k] = {"y%d" % i: (A * y(lo).inverse()) ** (i - lo - 1) * A
                                for i in (hi - 1, hi)}
@@ -418,54 +354,54 @@ def verify_lemma_y(a, b):
     return ProofTranscript("y", forms)
 
 
-# The derivations below never use the relators of the x path, of y_cn, or
-# of the root, so they are carried out with the path-end symbols kept
-# formal: "x1" on the left and x_{m-1} ("x0" when m = 1) on the right.  For
-# m = 1 those are aliases of y_cn and y0, and every identity proved in the
-# formal group maps onto the actual presentation under the alias quotient.
+# The end lemmas and the product relation read from rel the arc relators
+# (y0's and y_cn's, the segments' and the interior marked ones) and the
+# root's.  These depend on m only through the name of the path-end
+# neighbour across the negative edge of y0 and of y_cn: x1 and x_{m-1}.
+# For m = 1 that neighbour is the other arc end, and when c_n = 1 too,
+# y0's relator holds y1 twice and cannot be solved for it.  So for m = 1
+# rel is read from the graph of (2, a, b), where the neighbour is x1 at
+# both ends and stays a formal symbol.  The left derivation uses y0's
+# relator and never y_cn's, the right one the reverse, and neither uses
+# the x path; so x1 -> y_cn (left) and x1 -> y0 (right) map every
+# relator either uses onto a relator of (1; a; b), and every identity it
+# proves holds in the actual group with x1 read as that alias.
 
 LEFT_X = "x1"
 
 
 def right_x_symbol(m):
-    return "x%d" % (m - 1) if m >= 2 else "x0"
+    """x_{m-1}, the path-end neighbour of y_cn in rel (x1 when m = 1)."""
+    return "x%d" % (max(m, 2) - 1)
 
 
-def _eliminate(a, b, first, end_x):
-    """Solve the arc relators in turn from the end y_first to the other end,
-    leaving every y_i as a word in y_first and the formal symbol end_x."""
+def _eliminate(rel, b, first):
+    """Solve the arc relators in rel in turn from the end y_first to the
+    other end, leaving every y_i as a word in y_first and the formal
+    path-end symbol."""
     cn = sum(b)
-    idx_of = {ck: k for k, ck in enumerate(prefix_sums(b))}
     step = 1 if first == 0 else -1
     known = {}
     for i in range(first, cn - first, step):
-        if i == first:
-            r = _end_relator(i, a[idx_of[i]], end_x)
-        elif i in idx_of:
-            r = _marked_relator(a[idx_of[i]], i)
-        else:
-            r = _unmarked_relator(i)
         target = "y%d" % (i + step)
-        expr = solve_relation(r, target).substitute(known)
-        known[target] = expr
+        known[target] = solve_relation(rel["y%d" % i], target).substitute(known)
     known["y%d" % first] = FreeWord.gen("y%d" % first)
     return known
 
 
-def left_elimination(m, a, b):
+def left_elimination(rel, b):
     """Ground truth: every y_i as a reduced word in y0 and the formal x1.
 
     Solves r(y0) for y1, then walks the positive arc upward through the
     unmarked and interior marked relators; the results map each y_i to its
     word.
     """
-    return ProofTranscript("left-elimination", _eliminate(a, b, 0, LEFT_X))
+    return ProofTranscript("left-elimination", _eliminate(rel, b, 0))
 
 
-def right_elimination(m, a, b):
+def right_elimination(rel, b):
     """Ground truth from the other end: y_i over y_cn and the formal x_{m-1}."""
-    return ProofTranscript("right-elimination",
-                           _eliminate(a, b, sum(b), right_x_symbol(m)))
+    return ProofTranscript("right-elimination", _eliminate(rel, b, sum(b)))
 
 
 # Marker symbols for the two-element alphabets of the end lemmas.
@@ -520,13 +456,13 @@ def right_rules(a, b):
     return rules
 
 
-def _rule_targets(d, side, segments):
+def _rule_targets(d, rel, side, segments):
     """What each symbol of one side's rules stands for, and how its rule is
     checked: {symbol: (word over the arc generators, substitution)}.
 
     The letters of the alphabet have no substitution.  A name's
     substitution rewrites the generators its rule involves by the arc
-    relators: the end relator for D0 (Dn on the right), the segment
+    relators in rel: the end relator for D0 (Dn on the right), the segment
     telescope of verify_lemma_y for Wk (forward on the left, backward on
     the right; `segments` is that lemma's transcript), and that telescope
     with the marked relator at y_{c_k} for the other Dk.  The telescope
@@ -535,18 +471,18 @@ def _rule_targets(d, side, segments):
     """
     a, c, n, cn = d.a, d.c, d.n, d.cn
     y = lambda i: FreeWord.gen("y%d" % i)
-    solve = lambda r, i: solve_relation(r, "y%d" % i)
+    solve = lambda v, i: solve_relation(rel["y%d" % v], "y%d" % i)
     if side == "left":
         segments = segments.results["forward"]
         out = {s: (word, None) for s, word in left_alphabet(a).items()}
         out["W0"] = (y(0), {})
         out["D0"] = (y(1) * y(0).inverse(),
-                     {"y1": solve(_end_relator(0, a[0], LEFT_X), 1)})
+                     {"y1": solve(0, 1)})
         for k in range(1, n + 1):
             hi, seg = c[k], segments[k]
             out["W%d" % k] = (y(hi), seg)
             if k < n:
-                up = solve(_marked_relator(a[k], hi), hi + 1).substitute(seg)
+                up = solve(hi, hi + 1).substitute(seg)
                 out["D%d" % k] = (y(hi + 1) * y(hi).inverse(),
                                   dict(seg, **{"y%d" % (hi + 1): up}))
     else:
@@ -554,19 +490,18 @@ def _rule_targets(d, side, segments):
         out = {s: (word, None) for s, word in right_alphabet(d.m, a, cn).items()}
         out["W%d" % n] = (y(cn), {})
         out["D%d" % n] = (y(cn).inverse() * y(cn - 1),
-                          {"y%d" % (cn - 1): solve(
-                              _end_relator(cn, a[n], right_x_symbol(d.m)), cn - 1)})
+                          {"y%d" % (cn - 1): solve(cn, cn - 1)})
         for k in range(n - 1, -1, -1):
             lo, seg = c[k], segments[k + 1]
             out["W%d" % k] = (y(lo), seg)
             if k > 0:
-                down = solve(_marked_relator(a[k], lo), lo - 1).substitute(seg)
+                down = solve(lo, lo - 1).substitute(seg)
                 out["D%d" % k] = (y(lo).inverse() * y(lo - 1),
                                   dict(seg, **{"y%d" % (lo - 1): down}))
     return out
 
 
-def check_rules(d, side, rules, segments=None):
+def check_rules(d, rel, side, rules, segments=None):
     """Check one side's lemma rules one at a time, each by one local identity.
 
     `rules` is [(name, body), ...].  A body may use the side's alphabet and
@@ -575,7 +510,7 @@ def check_rules(d, side, rules, segments=None):
     (_rule_targets).  Its rule holds when that word and the body, with
     every symbol replaced by what it stands for, agree once the rule's
     substitution has rewritten both.  The substitutions come from the arc
-    relators, so each rule holds in the group, and by induction every name
+    relators in rel, so each rule holds in the group, and by induction every name
     expands to a positive word over the alphabet that equals what the name
     stands for.  Earlier names stay opaque and each substitution holds
     two end words of one segment, so no body is expanded and the cost is
@@ -586,7 +521,7 @@ def check_rules(d, side, rules, segments=None):
     """
     if not rules:
         raise RewriteError("%s rules: none given" % side)
-    targets = _rule_targets(d, side, segments or verify_lemma_y(d.a, d.b))
+    targets = _rule_targets(d, rel, side, segments or verify_lemma_y(rel, d.b))
     stands = {s: word for s, (word, sub) in targets.items() if sub is None}
     names = {name for name, _ in rules}
     checked, words = {}, []
@@ -615,48 +550,51 @@ def check_rules(d, side, rules, segments=None):
     return checked, words
 
 
-def verify_lemma_left(d, segments=None):
+def verify_lemma_left(d, rel, segments=None):
     """Positive words in {y0, x1 y0^(a0-1)} for every marked y, as the
-    rules of left_rules, each checked against the arc relators by
+    rules of left_rules, each checked against the arc relators in rel by
     check_rules (`segments` as there).  Returns check_rules' (rules,
     words); rules["Wk"] is the body of the rule for y_{c_k}.
     """
-    return check_rules(d, "left", left_rules(d.a, d.b), segments)
+    return check_rules(d, rel, "left", left_rules(d.a, d.b), segments)
 
 
-def verify_lemma_right(d, rules=None, segments=None):
+def verify_lemma_right(d, rel, rules=None, segments=None):
     """Mirror of the left lemma: positive words in {y_cn, y_cn^(an-1) x_{m-1}}.
 
     Checks `rules` ([(name, body), ...], as a certificate carries them), or
-    right_rules when none are given, by check_rules (`segments` as there).
-    Returns (rules, words).
+    right_rules when none are given, by check_rules (rel and `segments` as
+    there).  Returns (rules, words).
     """
-    return check_rules(d, "right", right_rules(d.a, d.b) if rules is None else rules,
-                       segments)
+    return check_rules(d, rel, "right",
+                       right_rules(d.a, d.b) if rules is None else rules, segments)
 
 
-def verify_product_relation(d, segments=None):
+def verify_product_relation(d, rel, segments=None):
     """W0^a0 W1^a1 ... Wn^an = 1 over the names of the left rules.
 
-    This is the root relator y_cn^-a_n ... y_0^-a_0, inverted, with each
-    y_{c_k} written Wk: verify_lemma_left checked that Wk equals y_{c_k}
-    in the group, and the root relator is 1 there.  Left to check is the
-    shape the certificate needs.  Every rule is positive (check_rules
-    checked them one by one), so the product expands to a nonempty
-    positive word.  It must mention y0, which is read off the rules: a
-    name mentions y0 when its body mentions y0 or a name that does.  The
-    results hold the product and the left rules.  `segments` is passed to
-    verify_lemma_left.  A cycle with n = 0 raises ValueError from
-    verify_lemma_left.
+    This is the root relator rel["z"], inverted, with each y_{c_k} written
+    Wk: verify_lemma_left checked that Wk equals y_{c_k} in the group, and
+    the root relator is 1 there.  Left to check is the shape the
+    certificate needs.  The inverted root relator must be a nonempty
+    positive word in the marked y's, and every rule is positive
+    (check_rules checked them one by one), so the product expands to a
+    nonempty positive word.  It must mention y0, which is read off the
+    rules: a name mentions y0 when its body mentions y0 or a name that
+    does.  The results hold the product and the left rules.  `segments`
+    is passed to verify_lemma_left.  A cycle with n = 0 raises ValueError
+    from verify_lemma_left.
     """
-    rules, _ = verify_lemma_left(d, segments)
-    product = FreeWord([("W%d" % k, 1) for k, ak in enumerate(d.a) for _ in range(ak)])
-    if not product.symbols() <= rules.keys():
-        raise RewriteError("product word refers to a name with no left rule")
+    rules, _ = verify_lemma_left(d, rel, segments)
+    name = {"y%d" % ck: "W%d" % k for k, ck in enumerate(d.c)}
+    root = rel["z"].inverse()
+    if not root or not root.is_positive() or not root.symbols() <= name.keys():
+        raise RewriteError("root relator is not a negative word in the marked y's")
+    product = FreeWord._reduced(tuple((name[s], e) for s, e in root.letters))
     mentions = {"y0"}
-    for name, body in rules.items():
+    for nm, body in rules.items():
         if body.symbols() & mentions:
-            mentions.add(name)
+            mentions.add(nm)
     if not product.symbols() & mentions:
         raise RewriteError("product word must mention y0")
     return ProofTranscript("product", {"product": product, "rules": rules})

@@ -1,8 +1,10 @@
 """Helpers only the tests use: graph isomorphism, presentation edits, a
 determinant oracle, the Smith diagonal from determinantal divisors, braid
 rotation, the family (1) normalizer dispatch, a coset table printout, the
-expansion of straight-line lemma rules, and the references the faster code
-must reproduce: the telescope words by elimination, the letter-tuple twist
+expansion of straight-line lemma rules, the cycle presentation, relator
+map and certificate of a parameter tuple, and the references the faster
+code must reproduce: the cycle graph's vertex relators written out by
+formula, the telescope words by elimination, the letter-tuple twist
 search, the Tietze simplification that printed every relator and the face
 walk that started each face at the least unvisited edge end; and the
 benchmark's workload lines."""
@@ -16,10 +18,11 @@ from braidcover import braid
 from braidcover.braid import (BraidError, BraidWord, NormalizationError,
                               TWIST_NEG, TWIST_POS, classify_baldwin,
                               normalize_type1_d1, normalize_type1_dm1)
-from braidcover.presentation import GroupPresentation
-from braidcover.rewrite import (FreeWord, _path_relator, _unmarked_relator,
-                                prefix_sums, reduce_letters, solve_relation,
-                                x_sym)
+from braidcover.diagram import cycle_graph_from_params
+from braidcover.ordercheck import arc_relators, certify_cycle_non_lo
+from braidcover.presentation import GroupPresentation, cycle_presentation
+from braidcover.rewrite import (FreeWord, prefix_sums, reduce_letters,
+                                solve_relation, x_sym)
 
 
 def presentation_from_json(data):
@@ -158,15 +161,94 @@ def expand_rules(rules, alphabet):
     return out
 
 
-def reference_lemma_x(m, cn=None):
+def cycle_pres(d):
+    """The cycle presentation of the cycle form d = (m, a, b)."""
+    return cycle_presentation(cycle_graph_from_params(*d))
+
+
+def lemma_rel(d):
+    """The {region: relator} map the lemmas of d read, as verify_certificate
+    builds it."""
+    return arc_relators(d, cycle_pres(d))
+
+
+def certify(d):
+    """certify_cycle_non_lo on d and its cycle graph."""
+    return certify_cycle_non_lo(d, cycle_graph_from_params(*d))
+
+
+def certified(d):
+    """(certificate JSON, cycle presentation) of d, from one graph."""
+    g = cycle_graph_from_params(*d)
+    return certify_cycle_non_lo(d, g).to_json(), cycle_presentation(g)
+
+
+# The relator of every vertex of the cycle graph written out by formula:
+# the reference the relators read off the graph must match up to rotation
+# and inversion.  x0 and xm are the aliases y0 and y{cn}; end_relator takes
+# the name across the negative edge, which the lemmas keep formal for m = 1.
+
+def path_relator(sym, i):
+    """Relator of x_i on the negative path; sym(j) names x_j."""
+    w = FreeWord.gen
+    xi = w(sym(i))
+    return (w(sym(i + 1)).inverse() * xi).inverse() \
+        * (w(sym(i - 1)).inverse() * xi).inverse()
+
+
+def unmarked_relator(i):
+    w = FreeWord.gen
+    yi = w("y%d" % i)
+    return (w("y%d" % (i + 1)).inverse() * yi) * (w("y%d" % (i - 1)).inverse() * yi)
+
+
+def marked_relator(a_k, i):
+    w = FreeWord.gen
+    yc = w("y%d" % i)
+    return (w("y%d" % (i - 1)).inverse() * yc) * yc ** a_k \
+        * (w("y%d" % (i + 1)).inverse() * yc)
+
+
+def end_relator(i, a_k, x):
+    """Relator of the arc end y_i (y0 or y_cn, with a_k root edges); x names
+    the path-end vertex across its negative edge."""
+    w = FreeWord.gen
+    yi = w("y%d" % i)
+    across = (w(x).inverse() * yi).inverse()
+    if i == 0:
+        return across * yi ** a_k * (w("y1").inverse() * yi)
+    return (w("y%d" % (i - 1)).inverse() * yi) * yi ** a_k * across
+
+
+def reference_cycle_relators(m, a, b):
+    """{vertex: relator} of the cycle graph (m; a; b) by formula, the root
+    relator y_cn^-a_n ... y_0^-a_0 under z; needs len(b) >= 1."""
+    n = len(b)
+    cn = sum(b)
+    c = prefix_sums(b)
+    sym = lambda i: x_sym(i, m, cn)
+    rel = {"x%d" % i: path_relator(sym, i) for i in range(1, m)}
+    rel["y0"] = end_relator(0, a[0], sym(1))
+    for k in range(1, n):
+        rel["y%d" % c[k]] = marked_relator(a[k], c[k])
+    rel["y%d" % cn] = end_relator(cn, a[n], sym(m - 1))
+    marked = set(c)
+    for i in range(1, cn):
+        if i not in marked:
+            rel["y%d" % i] = unmarked_relator(i)
+    rel["z"] = FreeWord([("y%d" % c[k], -1) for k in range(n, -1, -1)
+                         for _ in range(a[k])])
+    return rel
+
+
+def reference_lemma_x(m, cn):
     """Every x_i, 0 <= i <= m, derived by solving the path relators one at
     a time up the path, each result substituted into the next: the
     elimination that verify_lemma_x's closed form must reproduce."""
-    sym = (lambda i: x_sym(i, m, cn)) if cn is not None else \
-        (lambda i: "x%d" % i)
+    sym = lambda i: x_sym(i, m, cn)
     known = {sym(0): FreeWord.gen(sym(0)), sym(1): FreeWord.gen(sym(1))}
     for i in range(1, m):
-        known[sym(i + 1)] = solve_relation(_path_relator(sym, i),
+        known[sym(i + 1)] = solve_relation(path_relator(sym, i),
                                            sym(i + 1)).substitute(known)
     return known
 
@@ -186,7 +268,7 @@ def reference_lemma_y(b):
                      "y%d" % (first + step): y(first + step)}
             for i in range(first + step, hi if step == 1 else lo, step):
                 known["y%d" % (i + step)] = solve_relation(
-                    _unmarked_relator(i), "y%d" % (i + step)).substitute(known)
+                    unmarked_relator(i), "y%d" % (i + step)).substitute(known)
             out[side][k] = known
     return out
 

@@ -16,14 +16,12 @@ from braidcover.braid import (parse_braid, expand_fulltwist, exponent_sum,
 from braidcover.diagram import (DecoratedCycleGraph, closure_white_graph,
                                 goeritz_matrix)
 from braidcover.presentation import (GroupPresentation, greene_presentation,
-                                     cycle_presentation, abelianize,
-                                     tietze_simplify)
+                                     abelianize, tietze_simplify)
 from braidcover.rewrite import (FreeWord, verify_lemma_x, verify_lemma_y,
                                 verify_lemma_right, verify_product_relation)
-from braidcover.ordercheck import (certify_cycle_non_lo,
-                                   verify_certificate, todd_coxeter,
+from braidcover.ordercheck import (verify_certificate, todd_coxeter,
                                    positive_cone_search)
-from support import normalize_type1
+from support import certified, cycle_pres, lemma_rel, normalize_type1
 from test_presentation import parallel_graph
 
 w = FreeWord.gen
@@ -43,18 +41,20 @@ def _ab_grid(max_n, lo=1, hi=3):
 def test_criterion_1_lemma_replay_suite():
     t0 = time.time()
     for m in range(1, 9):
-        verify_lemma_x(m)
+        verify_lemma_x(lemma_rel(DecoratedCycleGraph(m, (1, 1), (1,))), m, 1)
     count = 0
     ms = itertools.cycle(range(1, 7))
     for n in range(1, 5):
         for b in itertools.product(range(1, 4), repeat=n):
-            # the y lemma reads b alone, so its segment forms serve every a
-            segments = verify_lemma_y((1,) * (n + 1), b)
+            # the segments' relators do not depend on m or a, so their
+            # forms serve every tuple with this b
+            segments = verify_lemma_y(lemma_rel(DecoratedCycleGraph(1, (1,) * (n + 1), b)), b)
             for a in itertools.product(range(1, 4), repeat=n + 1):
                 d = DecoratedCycleGraph(next(ms), a, b)
-                verify_lemma_right(d, None, segments)
+                rel = lemma_rel(d)
+                verify_lemma_right(d, rel, None, segments)
                 # checks the left rules through verify_lemma_left
-                verify_product_relation(d, segments)
+                verify_product_relation(d, rel, segments)
                 count += 1
     elapsed = time.time() - t0
     assert count == 27 + 243 + 2187 + 19683
@@ -85,8 +85,7 @@ def test_criterion_2_certificate_suite():
                 continue
             cycles += 1
             d = DecoratedCycleGraph(out.m, out.a, out.b)
-            cert = certify_cycle_non_lo(d)
-            ok, problems = verify_certificate(cert.to_json(), cycle_presentation(d))
+            ok, problems = verify_certificate(*certified(d))
             if not ok:
                 failures += 1
     assert failures == 0
@@ -198,11 +197,13 @@ def test_criterion_7_positive_cone_sanity():
 
 
 def test_criterion_8_generator_count():
+    # c_n + m + 1 regions: a generator for each but the killed root, and a
+    # relator for each
     count = 0
     for a, b in _ab_grid(3):
         d = DecoratedCycleGraph(2, a, b)
-        pres = cycle_presentation(d)
-        assert len(pres.generators) == d.cn + d.m + 1
+        pres = cycle_pres(d)
+        assert len(pres.generators) + 1 == len(pres.relators) == d.cn + d.m + 1
         count += 1
-    _report(8, "cycle presentation generator count equals c_n + m + 1 on "
+    _report(8, "cycle presentation has c_n + m + 1 regions, the root killed, on "
                "%d instances" % count)

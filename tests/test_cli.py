@@ -10,12 +10,13 @@ import pytest
 import braidcover
 from braidcover.braid import expand_fulltwist, parse_braid
 from braidcover.cli import main, run_pipeline, run_batch, PipelineFailure
-from braidcover.diagram import DecoratedCycleGraph, closure_white_graph, graph_dot
-from braidcover.ordercheck import (certify_cycle_non_lo, todd_coxeter,
-                                   verify_certificate)
+from braidcover.diagram import (DecoratedCycleGraph, closure_white_graph,
+                                cycle_names, graph_dot)
+from braidcover.ordercheck import todd_coxeter, verify_certificate
 from braidcover.presentation import (cycle_presentation, greene_presentation,
                                      tietze_simplify)
 from braidcover.rewrite import parse_word
+from support import certified
 
 # the child process imports the same braidcover as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(braidcover.__file__)))
@@ -71,6 +72,18 @@ def test_pipeline_case2():
     report, code = run_pipeline("h^-1 s1 s2^-1 s1 s2^-2", canonical=True)
     assert code == 0
     assert report["certificate"]["case"] == 2
+
+
+def test_pipeline_checks_the_certificate_against_its_own_diagram():
+    # the cycle presentation reported, and rechecked against, is the Greene
+    # presentation of the normal form's own graph with the cycle names
+    for line in ("h s1 s2^-2 s1 s2^-2", "h^-1 s1 s2^-1 s1 s2^-2",
+                 "h s1 s2^-2 s1 s2^-2 s1 s2^-2"):
+        report, code = run_pipeline(line, canonical=True)
+        assert code == 0 and report["recheck"]["ok"], line
+        word = expand_fulltwist(parse_braid(report["normalization"]["word"]))
+        g = cycle_names(closure_white_graph(word), report["decorated"]["m"])
+        assert report["cycle_presentation"] == cycle_presentation(g).to_json(), line
 
 
 def test_pipeline_dm1_n1_reports_the_derived_branch_set():
@@ -189,21 +202,29 @@ CERTIFIED = {"verify_certificate": 1, "verify_lemma_left": 1, "left_elimination"
              "right_elimination": 0, "verify_lemma_right": 1,
              "verify_product_relation": 1, "left_rules": 1, "right_rules": 1,
              "check_rules": 2, "verify_lemma_y": 1}
+# a braid line builds the graph of its input and of its normal form, which
+# it certifies on; the recheck builds its parameters' graph once, and for
+# m = 1 also the graph of (2, a, b) that the lemmas read (rewrite.LEFT_X).
+# Every cycle graph gets one Greene presentation.
 FAMILY1 = dict(CERTIFIED, twist_search=2, classify_baldwin=2, expand_fulltwist=2,
-               greene_presentation=1, cycle_relators=2)
+               greene_presentation=3, closure_white_graph=3, cycle_graph_from_params=1)
 FINITE = {"twist_search": 1, "classify_baldwin": 1, "expand_fulltwist": 1,
-          "greene_presentation": 1, "infinite_witness": 1, "todd_coxeter": 1}
+          "greene_presentation": 1, "infinite_witness": 1, "todd_coxeter": 1,
+          "closure_white_graph": 1}
 COUNTED = tuple(FAMILY1) + ("infinite_witness", "todd_coxeter")
 # line, verdict, calls per counted function (0 where absent); the second
 # classification of a family (1) line is the normalizer's own
 COUNT_TABLE = [
     ("h s1 s2^-2 s1 s2^-2", "NonLO_Certified", FAMILY1),
-    ("h^-1 s1 s2^-1 s1 s2^-2", "NonLO_Certified", FAMILY1),
+    ("h^-1 s1 s2^-1 s1 s2^-2", "NonLO_Certified",
+     dict(FAMILY1, greene_presentation=4, closure_white_graph=4, cycle_graph_from_params=2)),
     ("h s2^4", "NonLO_FiniteGroup", FINITE),
     ("h s1^-2 s2^-1", "NonLO_FiniteGroup", FINITE),
     # the infinite dihedral group: proved infinite, never enumerated
     ("h^-1 s2^2", "Inconclusive", dict(FINITE, todd_coxeter=0)),
-    ("(3; 1,1,1; 1,1)", "NonLO_Certified", dict(CERTIFIED, cycle_relators=2)),
+    # the tuple's graph is built for the certificate, and again by the recheck
+    ("(3; 1,1,1; 1,1)", "NonLO_Certified",
+     dict(CERTIFIED, greene_presentation=2, closure_white_graph=2, cycle_graph_from_params=2)),
 ]
 
 
@@ -241,7 +262,7 @@ def test_certificate_check_formats_no_words(monkeypatch):
     # a passing check compares words; it prints none of them
     for params in [(3, (2, 1, 2), (1, 2)), (1, (3, 4), (1,))]:
         d = DecoratedCycleGraph(*params)
-        cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+        cert, pres = certified(d)
         calls = count_calls(monkeypatch, ("format_word",))
         assert verify_certificate(cert, pres) == (True, [])
         assert calls == {"format_word": 0}, params

@@ -10,20 +10,19 @@ import pytest
 from braidcover.rewrite import FreeWord
 from braidcover.diagram import DecoratedCycleGraph
 from braidcover.presentation import (GroupPresentation, AbelianInvariants,
-                                     cycle_presentation, greene_presentation,
-                                     tietze_simplify)
+                                     greene_presentation, tietze_simplify)
 from braidcover.braid import parse_braid, expand_fulltwist
 from braidcover.diagram import closure_white_graph
 from braidcover.ordercheck import (Exhausted, HypothesisNotMet, InfiniteGroup,
                                    SoundnessError, todd_coxeter, cyclic_subgroup,
                                    infinite_witness, positive_cone_search,
-                                   torsion_non_lo, certify_cycle_non_lo,
-                                   verify_certificate, WITNESS_MAX_DIM,
+                                   torsion_non_lo, verify_certificate,
+                                   WITNESS_MAX_DIM,
                                    VERDICT_TORSION, VERDICT_INCONCLUSIVE,
                                    VERDICT_FINITE, subgroup_abelianization)
 from braidcover.cli import run_pipeline
 
-from support import dump_coset_table, kill_generator, normalize_type1
+from support import certified, certify, cycle_pres, dump_coset_table, normalize_type1
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -75,7 +74,7 @@ def test_todd_coxeter_exhausts_on_infinite():
 
 def test_todd_coxeter_invariances():
     d = DecoratedCycleGraph(3, (1, 1), (2,))
-    kill = kill_generator(cycle_presentation(d), "z")
+    kill = cycle_pres(d)
     order = todd_coxeter(kill).order
     # generator permutation
     perm = GroupPresentation(tuple(reversed(kill.generators)), kill.relators)
@@ -267,31 +266,31 @@ def test_torsion_verdicts():
 
 def test_certificate_case1():
     d = DecoratedCycleGraph(3, (1, 1, 1), (1, 1))
-    cert = certify_cycle_non_lo(d)
+    cert = certify(d)
     assert cert.case == 1
-    ok, problems = verify_certificate(cert.to_json(), cycle_presentation(d))
+    ok, problems = verify_certificate(cert.to_json(), cycle_pres(d))
     assert ok, problems
 
 
 def test_certificate_case2():
     d = DecoratedCycleGraph(1, (3, 4), (1,))
-    cert = certify_cycle_non_lo(d)
+    cert = certify(d)
     assert cert.case == 2
-    ok, problems = verify_certificate(cert.to_json(), cycle_presentation(d))
+    ok, problems = verify_certificate(cert.to_json(), cycle_pres(d))
     assert ok, problems
 
 
 def test_certificate_hypothesis_gate():
     with pytest.raises(HypothesisNotMet):
-        certify_cycle_non_lo(DecoratedCycleGraph(1, (1, 2), (1,)))
+        certify(DecoratedCycleGraph(1, (1, 2), (1,)))
     with pytest.raises(HypothesisNotMet):
-        certify_cycle_non_lo(DecoratedCycleGraph(2, (1,), ()))
+        certify(DecoratedCycleGraph(2, (1,), ()))
 
 
 def test_certificate_tampering_detected():
     d = DecoratedCycleGraph(3, (1, 2), (2,))
-    cert = certify_cycle_non_lo(d).to_json()
-    pres = cycle_presentation(d)
+    cert = certify(d).to_json()
+    pres = cycle_pres(d)
 
     bad = copy.deepcopy(cert)
     bad["steps"][0]["sign"] = "+"          # flip the wlog sign
@@ -323,25 +322,25 @@ def test_certificate_tampering_detected():
     assert verify_certificate(bad, pres) == (
         False, ["step 2 cites '0', which is not an earlier step"])
 
-    other = cycle_presentation(DecoratedCycleGraph(3, (1, 1, 1), (1, 1)))
+    other = cycle_pres(DecoratedCycleGraph(3, (1, 1, 1), (1, 1)))
     assert verify_certificate(cert, other) == (
         False, ["presentation does not match the certificate parameters"])
 
     # parameters far larger than the presentation are refused before
     # anything is built from them
     d = DecoratedCycleGraph(3, (2, 1, 2), (1, 2))
-    bad = certify_cycle_non_lo(d).to_json()
+    bad = certify(d).to_json()
     bad["params"]["a"] = [2, 1, 100000]
     t0 = time.perf_counter()
-    assert verify_certificate(bad, cycle_presentation(d)) == (
+    assert verify_certificate(bad, cycle_pres(d)) == (
         False, ["presentation does not match the certificate parameters"])
     assert time.perf_counter() - t0 < 0.5
 
     # a genuine certificate of that shape with a_n = 3000 rechecks in time
     # about linear in its relators' length
     d = DecoratedCycleGraph(3, (2, 1, 3000), (1, 2))
-    cert = certify_cycle_non_lo(d).to_json()
-    pres = cycle_presentation(d)
+    cert = certify(d).to_json()
+    pres = cycle_pres(d)
     t0 = time.perf_counter()
     assert verify_certificate(cert, pres) == (True, [])
     assert time.perf_counter() - t0 < 0.2
@@ -352,7 +351,7 @@ def test_long_telescopes_recheck_fast():
     # so the recheck is linear in a segment's length b_k and in m
     for params in [(3, (2, 2), (500,)), (1000, (2, 1, 2), (1, 2))]:
         d = DecoratedCycleGraph(*params)
-        cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+        cert, pres = certified(d)
         t0 = time.perf_counter()
         assert verify_certificate(cert, pres) == (True, [])
         assert time.perf_counter() - t0 < 0.5, params
@@ -376,7 +375,7 @@ EXPONENT_TAMPERING = [
                          ids=[t[0] for t in EXPONENT_TAMPERING])
 def test_certificate_exponents_are_bounded_before_expansion(m, where, value, want):
     d = DecoratedCycleGraph(m, (2, 1, 2), (1, 2))
-    cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+    cert, pres = certified(d)
     step = cert["steps"][where[0]]
     place = step if where[1] == "element" else step["payload"]
     if len(where) == 3:
@@ -410,7 +409,7 @@ RULE_TAMPERING = [
                          ids=[t[0] for t in RULE_TAMPERING])
 def test_certificate_rule_tampering_detected(edits, want):
     d = DecoratedCycleGraph(3, (2, 1, 2), (1, 2))
-    cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+    cert, pres = certified(d)
     rules = cert["steps"][6]["payload"]["rules"]
     for i, rule in edits.items():
         rules[i] = rule
@@ -420,7 +419,7 @@ def test_certificate_rule_tampering_detected(edits, want):
 
 def test_certificate_rules_must_reach_y0():
     d = DecoratedCycleGraph(3, (2, 1, 2), (1, 2))
-    cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+    cert, pres = certified(d)
     payload = cert["steps"][6]["payload"]
     for rules in ([], payload["rules"][:-1]):   # none, or no rule for W0
         payload["rules"] = rules
@@ -436,8 +435,8 @@ def _ladder_certificate_bytes(n):
     """Canonical bytes of the rechecked certificate of the ladder cycle,
     m = 3, a = (1,)*(n+1), b = (1, 2, ..., 2, 1)."""
     d = DecoratedCycleGraph(3, (1,) * (n + 1), (1,) + (2,) * (n - 2) + (1,))
-    cert = certify_cycle_non_lo(d).to_json()
-    assert verify_certificate(cert, cycle_presentation(d)) == (True, [])
+    cert = certify(d).to_json()
+    assert verify_certificate(cert, cycle_pres(d)) == (True, [])
     return len(json.dumps(cert, sort_keys=True, separators=(",", ":")))
 
 
@@ -454,10 +453,10 @@ def test_certificates_for_both_normalizer_shapes():
     # d = 1 normalizations give m > 2 / case 1; d = -1 give m = 1 / case 2
     out = normalize_type1(parse_braid("h s1 s2^-2 s1 s2^-2"))
     d = DecoratedCycleGraph(out.m, out.a, out.b)
-    assert certify_cycle_non_lo(d).case == 1
+    assert certify(d).case == 1
     out = normalize_type1(parse_braid("h^-1 s1 s2^-1 s1 s2^-2"))
     d = DecoratedCycleGraph(out.m, out.a, out.b)
-    assert certify_cycle_non_lo(d).case == 2
+    assert certify(d).case == 2
 
 
 def test_certificate_grid():
@@ -468,19 +467,19 @@ def test_certificate_grid():
                     d = DecoratedCycleGraph(m, a, b)
                     if not d.hypothesis_ok():
                         with pytest.raises(HypothesisNotMet):
-                            certify_cycle_non_lo(d)
+                            certify(d)
                         continue
-                    cert = certify_cycle_non_lo(d)
+                    cert = certify(d)
                     ok, problems = verify_certificate(
-                        cert.to_json(), cycle_presentation(d))
+                        cert.to_json(), cycle_pres(d))
                     assert ok, (m, a, b, problems)
 
 
 def test_certificate_json_is_serializable():
     d = DecoratedCycleGraph(3, (1, 1, 1), (1, 1))
-    cert = certify_cycle_non_lo(d)
+    cert = certify(d)
     blob = json.dumps(cert.to_json(), sort_keys=True)
-    ok, _ = verify_certificate(json.loads(blob), cycle_presentation(d))
+    ok, _ = verify_certificate(json.loads(blob), cycle_pres(d))
     assert ok
 
 
@@ -513,8 +512,8 @@ def test_todd_coxeter_more_groups():
 
 def test_certificate_verifier_handles_malformed_json():
     d = DecoratedCycleGraph(1, (3, 4), (1,))
-    cert = certify_cycle_non_lo(d).to_json()
-    pres = cycle_presentation(d)
+    cert = certify(d).to_json()
+    pres = cycle_pres(d)
 
     bad = copy.deepcopy(cert)
     bad["steps"][3]["payload"]["via"] = "lemma_x"   # wrong discharge for m = 1

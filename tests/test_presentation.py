@@ -13,13 +13,13 @@ from braidcover.diagram import (CheckerboardGraph, DecoratedCycleGraph,
 from braidcover.braid import parse_braid, expand_fulltwist
 from braidcover import presentation
 from braidcover.presentation import (GroupPresentation, PresentationError,
-                                     DegenerateShape, greene_presentation,
-                                     cycle_presentation,
-                                     abelianize, tietze_simplify,
-                                     smith_normal_form, relator_sets_equal)
+                                     greene_presentation, abelianize,
+                                     tietze_simplify, smith_normal_form)
+from braidcover.rewrite import LEFT_X, right_x_symbol
 
-from support import (determinantal_divisors, kill_generator,
-                     presentation_from_json, reference_tietze_simplify,
+from support import (cycle_pres, determinantal_divisors, end_relator,
+                     lemma_rel, presentation_from_json,
+                     reference_cycle_relators, reference_tietze_simplify,
                      workload_lines)
 
 w = FreeWord.gen
@@ -55,38 +55,54 @@ def test_balanced_counts():
     g = cycle_graph_from_params(3, (1, 1, 1), (1, 1))
     killed = greene_presentation(g)
     assert len(killed.generators) == len(killed.relators)
-    kept = greene_presentation(g, keep_root_relator=True)
+    kept = greene_presentation(g, keep_root=True)
     assert kept.generators == killed.generators
     assert len(kept.relators) == len(killed.relators) + 1
 
 
 def test_cycle_presentation_example():
     d = DecoratedCycleGraph(1, (2, 2), (1,))
-    p = cycle_presentation(d)
-    assert set(p.generators) == {"y0", "y1", "z"}
-    assert len(p.relators) == 4           # r(y0), r(y1), z, r(z)
-    # generator count is c_n + m + 1 on every instance
+    p = cycle_pres(d)
+    assert p.generators == ("y0", "y1")   # the root z is killed
+    assert len(p.relators) == 3           # r(y0), r(y1), r(z)
+    # c_n + m generators, one relator per region, on every instance
     for params in [(3, (1, 1, 1), (1, 1)), (2, (2, 1), (3,)), (1, (3, 4), (1,))]:
         d = DecoratedCycleGraph(*params)
-        assert len(cycle_presentation(d).generators) == d.cn + d.m + 1
+        p = cycle_pres(d)
+        assert len(p.generators) == d.cn + d.m
+        assert len(p.relators) == d.vertex_count()
 
 
-def test_cycle_presentation_rejects_degenerate():
-    with pytest.raises(DegenerateShape):
-        cycle_presentation(DecoratedCycleGraph(2, (1,), ()))
+def _cycle_grid_sample():
+    """The 672 tuples m <= 4, n <= 3, a_i and b_i in {1, 2}; 2,000 drawn
+    with a fixed seed from m <= 6, n <= 3, a_i and b_i in {1, 2, 3}; and
+    the alias case (1; 2,2; 1), where y0's neighbours are both y1."""
+    out = [(m, a, b) for n in (1, 2, 3) for m in (1, 2, 3, 4)
+           for a in itertools.product((1, 2), repeat=n + 1)
+           for b in itertools.product((1, 2), repeat=n)]
+    assert len(out) == 672
+    grid = [(m, a, b) for n in (1, 2, 3) for m in range(1, 7)
+            for a in itertools.product((1, 2, 3), repeat=n + 1)
+            for b in itertools.product((1, 2, 3), repeat=n)]
+    return out + random.Random(16).sample(grid, 2000) + [(1, (2, 2), (1,))]
 
 
 def test_cycle_matches_greene_structurally():
-    import itertools
-    for n in (1, 2, 3):
-        for m in (1, 2, 3, 4):
-            for a in itertools.product((1, 2), repeat=n + 1):
-                for b in itertools.product((1, 2), repeat=n):
-                    d = DecoratedCycleGraph(m, a, b)
-                    g = cycle_graph_from_params(m, a, b)
-                    p1 = greene_presentation(g, keep_root_relator=True)
-                    p2 = kill_generator(cycle_presentation(d), "z")
-                    assert relator_sets_equal(p1, p2), (m, a, b)
+    # every relator read off the cycle graph is the formula's for its
+    # vertex, up to rotation and inversion; for m = 1 the lemmas' map
+    # has the formal path end x1 in both end relators
+    key = lambda rel: {v: r.canonical_cyclic() for v, r in rel.items()}
+    for m, a, b in _cycle_grid_sample():
+        d = DecoratedCycleGraph(m, a, b)
+        p = cycle_pres(d)
+        got = dict(zip(p.generators + ("z",), p.relators))
+        assert key(got) == key(reference_cycle_relators(m, a, b)), (m, a, b)
+        if m == 1:
+            rel = lemma_rel(d)
+            assert rel["y0"].canonical_cyclic() == \
+                end_relator(0, a[0], LEFT_X).canonical_cyclic()
+            assert rel["y%d" % d.cn].canonical_cyclic() == \
+                end_relator(d.cn, a[-1], right_x_symbol(1)).canonical_cyclic()
 
 
 def test_abelianize_examples():
@@ -99,7 +115,7 @@ def test_abelianize_examples():
     assert abs(goeritz_matrix(g).determinant()) == 3
     # cycle form vs Goeritz determinant of the same braid's graph
     d = DecoratedCycleGraph(3, (1, 1, 1), (1, 1))
-    inv = abelianize(kill_generator(cycle_presentation(d), "z"))
+    inv = abelianize(cycle_pres(d))
     det = abs(goeritz_matrix(cycle_graph_from_params(3, (1, 1, 1), (1, 1))).determinant())
     assert inv.order() == det == 16
 
@@ -253,7 +269,7 @@ def test_presentation_validates_generators():
 
 def test_json_roundtrip():
     d = DecoratedCycleGraph(2, (1, 2), (2,))
-    p = cycle_presentation(d)
+    p = cycle_pres(d)
     assert presentation_from_json(p.to_json()).to_json() == p.to_json()
 
 

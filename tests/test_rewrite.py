@@ -7,17 +7,17 @@ from hypothesis import given, settings, strategies as st
 from braidcover import rewrite
 from braidcover.rewrite import (FreeWord, RewriteError,
                                 format_word, parse_word, solve_relation,
-                                cycle_relators, verify_lemma_x, verify_lemma_y,
+                                verify_lemma_x, verify_lemma_y,
                                 verify_lemma_left, verify_lemma_right,
                                 verify_product_relation,
                                 left_elimination, right_elimination,
                                 left_alphabet, right_alphabet, QL, QR,
                                 prefix_sums, x_sym)
 from braidcover.diagram import DecoratedCycleGraph
-from braidcover.ordercheck import certify_cycle_non_lo, verify_certificate
-from braidcover.presentation import cycle_presentation
-from support import (expand_rules, reference_canonical_cyclic,
-                     reference_lemma_x, reference_lemma_y)
+from braidcover.ordercheck import verify_certificate
+from support import (certified, expand_rules, lemma_rel,
+                     reference_canonical_cyclic, reference_lemma_x,
+                     reference_lemma_y)
 
 w = FreeWord.gen
 
@@ -128,45 +128,51 @@ def test_solve_relation_errors():
         solve_relation(parse_word("g a g"), "g")
 
 
+def _rel(m, a, b):
+    return lemma_rel(DecoratedCycleGraph(m, a, b))
+
+
 def test_lemma_x_base_cases():
-    t = verify_lemma_x(2)
-    assert t.results["x2"] == parse_word("x1 x0^-1 x1")
-    t = verify_lemma_x(1)
-    assert t.results["x1"] == parse_word("x1")
+    # the path ends are the aliases x0 = y0 and xm = y_cn
+    t = verify_lemma_x(_rel(2, (1, 1), (1,)), 2, 1)
+    assert t.results["y1"] == parse_word("x1 y0^-1 x1")
+    t = verify_lemma_x(_rel(1, (2, 2), (1,)), 1, 1)
+    assert t.results["y1"] == parse_word("y1")
 
 
 def test_lemma_x_closed_form():
-    t = verify_lemma_x(5)
-    assert t.results["x5"] == (parse_word("x1 x0^-1")) ** 4 * parse_word("x1")
+    t = verify_lemma_x(_rel(5, (1, 1), (2,)), 5, 2)
+    assert t.results["y2"] == (parse_word("x1 y0^-1")) ** 4 * parse_word("x1")
     for m in range(1, 9):
-        verify_lemma_x(m)
+        verify_lemma_x(_rel(m, (1, 1), (1,)), m, 1)
 
 
 def test_lemma_y_degenerate_segment():
     # b_k = 1 collapses to y_{c_k} = y_{c_{k-1}+1}
-    verify_lemma_y((1, 1), (1,))
+    verify_lemma_y(_rel(1, (1, 1), (1,)), (1,))
 
 
 def test_lemma_y_one_substitution_step():
     # b_k = 2: y_{c_k} = (y_{c_{k-1}+1} y_{c_{k-1}}^-1) y_{c_{k-1}+1}
-    verify_lemma_y((1, 1), (2,))
+    verify_lemma_y(_rel(1, (1, 1), (2,)), (2,))
 
 
 def test_lemma_y_forward_backward_agreement():
-    verify_lemma_y((1, 1), (3,))
+    verify_lemma_y(_rel(1, (1, 1), (3,)), (3,))
 
 
 def test_telescope_end_words_match_elimination():
     # the closed forms, built only at the ends, are the words that
     # eliminating along the whole path or segment derives
     for m in range(1, 9):
-        for cn in (None, 3):
+        for cn in (1, 3):
             want = reference_lemma_x(m, cn)
-            ends = [x_sym(i, m, cn) if cn else "x%d" % i for i in (m - 1, m)]
-            assert verify_lemma_x(m, cn).results == {s: want[s] for s in ends}, (m, cn)
+            ends = [x_sym(i, m, cn) for i in (m - 1, m)]
+            got = verify_lemma_x(_rel(m, (1, 1), (cn,)), m, cn).results
+            assert got == {s: want[s] for s in ends}, (m, cn)
     for n in (1, 2, 3):
         for b in itertools.product(range(1, 9), repeat=n):
-            got = verify_lemma_y((1,) * (n + 1), b).results
+            got = verify_lemma_y(_rel(1, (1,) * (n + 1), b), b).results
             want = reference_lemma_y(b)
             c = prefix_sums(b)
             for k in range(1, n + 1):
@@ -176,26 +182,26 @@ def test_telescope_end_words_match_elimination():
                                             for i in ends}, (b, k, side)
 
 
-def test_telescope_names_the_vertex_whose_relator_is_wrong(monkeypatch):
-    unmarked, path = rewrite._unmarked_relator, rewrite._path_relator
+def test_telescope_names_the_vertex_whose_relator_is_wrong():
     # y5, inside the second segment of b = (3, 4), gets an extra letter
-    monkeypatch.setattr(rewrite, "_unmarked_relator",
-                        lambda i: unmarked(i) * w("y5") if i == 5 else unmarked(i))
-    verify_lemma_y((1, 1), (4,))
+    rel = _rel(1, (1, 1, 1), (3, 4))
+    verify_lemma_y(rel, (3, 4))
+    # the telescopes read no marked relator
+    verify_lemma_y(dict(rel, y3=rel["y3"] * w("y3")), (3, 4))
     with pytest.raises(RewriteError, match=r"relator of y5$"):
-        verify_lemma_y((1, 1, 1), (3, 4))
+        verify_lemma_y(dict(rel, y5=rel["y5"] * w("y5")), (3, 4))
     # x3 loses its successor, so its relator cannot be solved for x4
-    monkeypatch.setattr(rewrite, "_path_relator", lambda sym, i: path(sym, i).substitute(
-        {sym(i + 1): w(sym(i - 1))}) if i == 3 else path(sym, i))
-    verify_lemma_x(3)
-    for cn in (None, 2):
+    for cn in (1, 2):
+        rel = _rel(6, (1, 1), (cn,))
+        verify_lemma_x(rel, 6, cn)
+        bad = dict(rel, x3=rel["x3"].substitute({"x4": w("x2")}))
         with pytest.raises(RewriteError, match=r"relator of x3$"):
-            verify_lemma_x(6, cn)
+            verify_lemma_x(bad, 6, cn)
 
 
 def test_lemma_left_examples():
     d = DecoratedCycleGraph(1, (2, 2), (1,))
-    rules, _ = verify_lemma_left(d)
+    rules, _ = verify_lemma_left(d, lemma_rel(d))
     assert {k: format_word(v, fold=False) for k, v in rules.items()} == \
         {"W0": "y0", "D0": "qL", "W1": "D0 W0"}
     words = expand_rules(rules, {"y0": w("y0"), QL: w(QL)})
@@ -205,25 +211,37 @@ def test_lemma_left_examples():
 
 def test_lemma_left_k0_trivial():
     d = DecoratedCycleGraph(2, (1, 1), (1,))
-    rules, _ = verify_lemma_left(d)
+    rules, _ = verify_lemma_left(d, lemma_rel(d))
     assert rules["W0"] == w("y0")
 
 
 def test_lemma_right_base():
     d = DecoratedCycleGraph(3, (1, 1, 1), (1, 1))
-    rules, _ = verify_lemma_right(d)
+    rules, _ = verify_lemma_right(d, lemma_rel(d))
     assert rules["W2"] == w("y2")
     assert all(v.is_positive() for v in rules.values())
 
 
 def test_product_relation_examples():
     for params in [(1, (2, 2), (1,)), (3, (1, 1, 1), (1, 1))]:
-        verify_product_relation(DecoratedCycleGraph(*params))
+        d = DecoratedCycleGraph(*params)
+        product = verify_product_relation(d, lemma_rel(d)).results["product"]
+        assert product == FreeWord([("W%d" % k, 1) for k, ak in enumerate(d.a)
+                                    for _ in range(ak)])
 
 
 def test_product_relation_rejects_degenerate():
+    d = DecoratedCycleGraph(2, (1,), ())
     with pytest.raises(ValueError):
-        verify_product_relation(DecoratedCycleGraph(2, (1,), ()))
+        verify_product_relation(d, lemma_rel(d))
+
+
+def test_product_relation_reads_the_root_relator():
+    d = DecoratedCycleGraph(3, (2, 1, 2), (1, 2))
+    rel = lemma_rel(d)
+    for bad in (rel["z"].inverse(), rel["z"] * w("y2", -1), rel["z"] * w("x1", -1)):
+        with pytest.raises(RewriteError, match="root relator is not"):
+            verify_product_relation(d, dict(rel, z=bad))
 
 
 def _tampered(rules_fn):
@@ -240,7 +258,7 @@ def _tampered(rules_fn):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_tampered_lemma_word_is_rejected(monkeypatch, side):
     d = DecoratedCycleGraph(3, (2, 1, 2), (1, 2))
-    cert, pres = certify_cycle_non_lo(d).to_json(), cycle_presentation(d)
+    cert, pres = certified(d)
     fn = getattr(rewrite, "%s_rules" % side)
     monkeypatch.setattr(rewrite, "%s_rules" % side, _tampered(fn))
     if side == "left":
@@ -255,7 +273,7 @@ def test_tampered_lemma_word_is_rejected(monkeypatch, side):
         want = "step 6: lemma-right rules fail: right rule W0 fails"
     for check in checks:
         with pytest.raises(RewriteError, match="%s rule W. fails" % side):
-            check(d)
+            check(d, lemma_rel(d))
     assert verify_certificate(cert, pres) == (False, [want])
 
 
@@ -273,23 +291,26 @@ def test_product_relation_expands_nothing_beyond_its_left_check(monkeypatch):
     monkeypatch.setattr(FreeWord, "substitute", counted)
     for params in [(1, (2, 2), (1,)), (3, (2, 1, 2), (1, 2)), (2, (3, 1, 1, 2), (2, 1, 3))]:
         d = DecoratedCycleGraph(*params)
+        rel = lemma_rel(d)
         letters[0] = 0
-        verify_lemma_left(d)
+        verify_lemma_left(d, rel)
         left = letters[0]
         letters[0] = 0
-        verify_product_relation(d)
+        verify_product_relation(d, rel)
         assert letters[0] == left > 0, params
 
 
 def test_elimination_is_acyclic():
     # every derived word only mentions the base alphabet
-    d = DecoratedCycleGraph(2, (2, 1, 2), (2, 1))
-    el = left_elimination(d.m, d.a, d.b)
-    for sym, word in el.results.items():
-        assert word.symbols() <= {"y0", "x1"}
-    er = right_elimination(d.m, d.a, d.b)
-    for sym, word in er.results.items():
-        assert word.symbols() <= {"y%d" % d.cn, "x%d" % (d.m - 1)}
+    for m in (1, 2, 4):
+        d = DecoratedCycleGraph(m, (2, 1, 2), (2, 1))
+        rel = lemma_rel(d)
+        el = left_elimination(rel, d.b)
+        for sym, word in el.results.items():
+            assert word.symbols() <= {"y0", "x1"}
+        er = right_elimination(rel, d.b)
+        for sym, word in er.results.items():
+            assert word.symbols() <= {"y%d" % d.cn, "x%d" % max(m - 1, 1)}
 
 
 def test_left_and_right_words_expand_to_same_element():
@@ -298,10 +319,11 @@ def test_left_and_right_words_expand_to_same_element():
     # expansion its right ground truth, which were derived from the same
     # relators in opposite orders
     d = DecoratedCycleGraph(4, (2, 1, 2), (1, 2))
-    left = expand_rules(verify_lemma_left(d)[0], left_alphabet(d.a))
-    right = expand_rules(verify_lemma_right(d)[0], right_alphabet(d.m, d.a, d.cn))
-    el = left_elimination(d.m, d.a, d.b).results
-    er = right_elimination(d.m, d.a, d.b).results
+    rel = lemma_rel(d)
+    left = expand_rules(verify_lemma_left(d, rel)[0], left_alphabet(d.a))
+    right = expand_rules(verify_lemma_right(d, rel)[0], right_alphabet(d.m, d.a, d.cn))
+    el = left_elimination(rel, d.b).results
+    er = right_elimination(rel, d.b).results
     for k, ck in enumerate(d.c):
         assert left["W%d" % k] == el["y%d" % ck]
         assert right["W%d" % k] == er["y%d" % ck]
@@ -317,10 +339,11 @@ def test_rules_expand_to_the_eliminations(params):
     # stands for
     m, a, b = params
     d = DecoratedCycleGraph(m, a, b)
-    left = expand_rules(verify_lemma_left(d)[0], left_alphabet(a))
-    right = expand_rules(verify_lemma_right(d)[0], right_alphabet(m, a, d.cn))
-    el = left_elimination(m, a, b).results
-    er = right_elimination(m, a, b).results
+    rel = lemma_rel(d)
+    left = expand_rules(verify_lemma_left(d, rel)[0], left_alphabet(a))
+    right = expand_rules(verify_lemma_right(d, rel)[0], right_alphabet(m, a, d.cn))
+    el = left_elimination(rel, b).results
+    er = right_elimination(rel, b).results
     c, n = d.c, d.n
     y = lambda res, i: res["y%d" % i]
     for k in range(n + 1):
@@ -343,34 +366,43 @@ def test_grid_small():
             for a in itertools.product((1, 2), repeat=n + 1):
                 for b in itertools.product((1, 2), repeat=n):
                     d = DecoratedCycleGraph(m, a, b)
-                    verify_lemma_y(a, b)
-                    verify_lemma_left(d)
-                    verify_lemma_right(d)
-                    verify_product_relation(d)
+                    rel = lemma_rel(d)
+                    verify_lemma_y(rel, b)
+                    verify_lemma_left(d, rel)
+                    verify_lemma_right(d, rel)
+                    verify_product_relation(d, rel)
                     count += 1
     assert count == 3 * (4 * 2 + 8 * 4)
 
 
 def test_cycle_relators_shapes():
-    rel = cycle_relators(3, [1, 1, 1], [1, 1])
-    assert set(rel) == {"x1", "x2", "y0", "y1", "y2", "z", "z_rel"}
-    assert rel["z"] == w("z")
-    assert rel["z_rel"] == parse_word("y2^-1 y1^-1 y0^-1")
+    # the relators the lemmas read off the cycle graph, one per region
+    cyclic = lambda text: parse_word(text).canonical_cyclic()
+    rel = _rel(3, (1, 1, 1), (1, 1))
+    assert set(rel) == {"x1", "x2", "y0", "y1", "y2", "z"}
+    assert rel["z"] == parse_word("y2^-1 y1^-1 y0^-1")
     # relator of an interior marked vertex
-    assert rel["y1"] == parse_word("y0^-1 y1 y1 y2^-1 y1")
-    # a cycle graph has at least one y segment
+    assert rel["y1"].canonical_cyclic() == cyclic("y0^-1 y1 y1 y2^-1 y1")
+    # m = 1: read off the graph of (2, a, b), x1 is the formal path end
+    rel = _rel(1, (2, 2), (1,))
+    assert set(rel) == {"x1", "y0", "y1", "z"}
+    assert rel["y0"].canonical_cyclic() == cyclic("y0^-1 x1 y0^2 y1^-1 y0")
+    assert rel["y1"].canonical_cyclic() == cyclic("y0^-1 y1^2 x1")
+    # a cycle graph needs at least one y segment for the lemmas
     with pytest.raises(ValueError):
-        cycle_relators(3, [2], [])
+        verify_lemma_y(_rel(3, (2,), ()), ())
 
 
 def test_all_verifiers_pass():
     d = DecoratedCycleGraph(3, (2, 1, 2), (1, 2))
-    verify_lemma_x(d.m, d.cn)
-    verify_lemma_y(d.a, d.b)
-    verify_lemma_left(d)
-    verify_lemma_right(d)
-    verify_product_relation(d)
+    rel = lemma_rel(d)
+    verify_lemma_x(rel, d.m, d.cn)
+    verify_lemma_y(rel, d.b)
+    verify_lemma_left(d, rel)
+    verify_lemma_right(d, rel)
+    verify_product_relation(d, rel)
     d = DecoratedCycleGraph(1, (2, 2), (1,))
-    verify_lemma_left(d)
-    verify_lemma_right(d)
-    verify_product_relation(d)
+    rel = lemma_rel(d)
+    verify_lemma_left(d, rel)
+    verify_lemma_right(d, rel)
+    verify_product_relation(d, rel)
