@@ -152,9 +152,11 @@ def mirror(w, exchange=False):
 class BaldwinClass(namedtuple("BaldwinClass", "kind d a m stopped_at moves",
                               defaults=(0, (), 0, 0, ()))):
     """Tagged union over the three families; kind is 1, 2, 3 or 0 (none).
-    `moves`, the twist_search path that realised it, is not compared.  A
-    kind 0 class whose search hit MAX_TWIST_STATES holds that cap in
-    `stopped_at`: it is not known to lie outside the families."""
+    `moves`, the twist_search path that realised it, is not compared.  The
+    family (1) normalizers replay it, and so does the finite route, which
+    checks that it reaches the member the class spells.  A kind 0 class
+    whose search hit MAX_TWIST_STATES holds that cap in `stopped_at`: it is
+    not known to lie outside the families."""
     __slots__ = ()
 
     def __eq__(self, other):

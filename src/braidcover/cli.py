@@ -11,7 +11,7 @@ import sys
 import time
 
 from .braid import (BraidError, NormalizationError, parse_braid, format_braid,
-                    classify_baldwin, expand_fulltwist, exponent_sum,
+                    classify_baldwin, expand_fulltwist, exponent_sum, mirror,
                     normalize_type1_d1, normalize_type1_dm1, replay_moves,
                     words_cyclically_equal, MAX_LETTERS)
 from .diagram import (DecoratedCycleGraph, DiagramError, closure_white_graph,
@@ -79,7 +79,7 @@ def run_pipeline(text, max_cosets=10 ** 6, canonical=False, cone_depth=None):
                                         machine_checked=False).to_json()
             code = EXIT_INCONCLUSIVE
         elif cls.kind in (2, 3):
-            code = _finite_route(report, w, max_cosets, cone_depth)
+            code = _finite_route(report, w, cls, max_cosets, cone_depth)
         elif is_alternating_closure(cls):
             _diagram_block(report, w)
             report["verdict"] = Verdict(
@@ -101,7 +101,8 @@ def run_pipeline(text, max_cosets=10 ** 6, canonical=False, cone_depth=None):
 
 
 def _diagram_block(report, w):
-    """White graph, Goeritz determinant and abelianization of the input word.
+    """White graph, Goeritz determinant and abelianization of w: the input,
+    or on the finite route the word it presents.
 
     Returns (Greene presentation, determinant, abelian invariants)."""
     expanded = expand_fulltwist(w)
@@ -126,15 +127,30 @@ def _diagram_block(report, w):
     return pres, det, inv
 
 
-def _finite_route(report, w, max_cosets, cone_depth=None):
-    """Families (2) and (3): Tietze-simplify the Greene presentation, then
-    prove the group infinite (an index-2 subgroup with infinite
-    abelianization, reported inconclusive at once) or enumerate the cosets
-    of a cyclic subgroup H and read |H| off the closed table; a finite
-    order gives the finite-group verdict, an infinite H or a cap hit is
-    inconclusive.  The positive-cone search needs the regular action, so
-    it enumerates the trivial subgroup itself."""
-    greene, _, inv = _diagram_block(report, w)
+def _finite_route(report, w, cls, max_cosets, cone_depth=None):
+    """Families (2) and (3): present the member the class names, in the
+    colouring with fewer regions, and decide its group.
+
+    The class moves, replayed from w, must reach the member h^d s2^m or
+    h^d s2^-1 s1^m.  Of it and its s1 <-> s2 exchange (conjugates, so one
+    closure) the one with fewer s2 letters is presented, the member on a
+    tie: at most 7 generators, whatever w is.  After Tietze, an index-2
+    subgroup with infinite abelianization proves the group infinite
+    (inconclusive); else the cosets of a cyclic H are enumerated and |H|
+    read off the closed table.  A cap hit or an infinite H is inconclusive.
+    The positive-cone search enumerates the trivial subgroup itself, as it
+    needs the regular action.
+    """
+    member = parse_braid(("h^%d s2^%d" if cls.kind == 2 else "h^%d s2^-1 s1^%d")
+                         % (cls.d, cls.m))
+    if not words_cyclically_equal(replay_moves(w, cls.moves), member):
+        raise SoundnessError("the class moves do not replay to %s" % format_braid(member))
+    exchanged = mirror(member, exchange=True)
+    s2 = lambda v: sum(g == 2 for g, _ in v.letters)
+    exchange = s2(exchanged) < s2(member)
+    presented = exchanged if exchange else member
+    report["presented"] = {"word": format_braid(presented), "exchange": exchange}
+    greene, _, inv = _diagram_block(report, presented)
     pres = tietze_simplify(greene)
     eps = infinite_witness(pres)
     if eps is not None:
@@ -261,6 +277,9 @@ def _print_report(report, as_json):
         return
     print("braid:     %s" % report.get("braid"))
     print("class:     %s" % _canon(report.get("class", {})))
+    if "presented" in report:
+        p = report["presented"]
+        print("presented: %s%s" % (p["word"], " (s1 <-> s2 exchanged)" if p["exchange"] else ""))
     if "normalization" in report:
         n = report["normalization"]
         print("normal:    %s (%s)" % (n.get("word"), n.get("outcome")))
@@ -421,7 +440,9 @@ def main(argv=None):
     p = sub.add_parser("pipeline", help="classify, normalize, present, certify")
     p.add_argument("braid")
     p.add_argument("--json", action="store_true", help="canonical JSON output")
-    p.add_argument("--dot", metavar="FILE", help="write the white graph as DOT")
+    p.add_argument("--dot", metavar="FILE",
+                   help="write the white graph as DOT: the input's, or on the "
+                        "finite route the presented word's")
     p.add_argument("--max-cosets", type=int, default=10 ** 6)
     p.add_argument("--depth", type=int, default=None,
                    help="also run the positive-cone search to this depth on "

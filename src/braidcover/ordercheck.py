@@ -216,23 +216,18 @@ def todd_coxeter(p, max_cosets=10 ** 6, subgroup=()):
 def cyclic_subgroup(p):
     """Words generating the cyclic subgroup the finite route enumerates.
 
-    The commonest cyclic two-letter subword a^+-1 b^+-1 (a != b) of the
-    relators, ties by first occurrence; a one-generator presentation uses
-    its generator.  Empty (the trivial subgroup) when there is no such
-    subword, as with zero generators.
+    The generator with the largest |exponent| of a syllable in any relator,
+    ties going to the least name: on a family (2) presentation, the one
+    whose power grows with m (index 2 on every family (2) workload line).
+    Empty (the trivial subgroup) when there are no generators.
     """
-    if len(p.generators) == 1:
-        return (FreeWord.gen(p.generators[0]),)
-    counts = {}
+    top = dict.fromkeys(p.generators, 0)
     for r in p.relators:
-        ls = r.letters
-        for i, a in enumerate(ls):
-            b = ls[i + 1 - len(ls)]
-            if a[0] != b[0]:
-                counts[a, b] = counts.get((a, b), 0) + 1
-    if not counts:
+        for sym, e in r.pairs():
+            top[sym] = max(top[sym], abs(e))
+    if not top:
         return ()
-    return (FreeWord(max(counts, key=counts.get)),)
+    return (FreeWord.gen(min(top, key=lambda g: (-top[g], g))),)
 
 
 def _standardize(rows, ncols):

@@ -9,18 +9,19 @@ with its root relator kept.  Abelian invariants come from the integer Smith
 normal form of the exponent matrix, which cross-checks the Goeritz
 determinant of the same graph; the Smith form is one sparse elimination
 that pivots on a least entry.  Tietze simplification removes generators
-that occur once in a relator, shortest first, on code-point strings:
-str.replace substitutes, and cancellation starts at the seams.
+that occur once in a relator, shortest relator first.  It only ever sees
+the finite route's presentations, which have at most 7 generators: that
+route presents the family member its class names, in the checkerboard
+colouring with fewer regions (cli._finite_route).
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from math import gcd, inf
 
-from .rewrite import FreeWord, format_word
+from .rewrite import FreeWord, format_word, solve_relation
 
 
 class PresentationError(Exception):
@@ -206,113 +207,40 @@ def abelianize(p):
 # Tietze simplification.
 # ---------------------------------------------------------------------------
 
-# Relator strings hold one code point per letter: 2i for generator i, 2i + 1
-# for its inverse, skipping the surrogates; this many generators fit.
-TIETZE_MAX_GENERATORS = (0x110000 - 0x800) // 2
-
-
 def tietze_simplify(p):
     """Eliminate generators that occur exactly once in some relator.
 
     Abelian invariants are unchanged; the loop is deterministic (shortest
-    relator first, ties by printed form) and stops at a fixpoint.  Relators are
-    code-point strings with their generator counts and targets (least generator
-    occurring once).  The heap holds (length, 0, id), and (length, 1, printed
-    form, id) once a tie needs the print; holders[g] lists the ids holding g.
+    relator first, ties by printed form, target the least generator that
+    occurs once) and stops at a fixpoint.  Each relator's sort key and
+    target are computed once, when the relator is made; an elimination
+    rewrites only the relators that hold the eliminated generator.
     """
-    words = [w for w in (r.cyclic_reduce() for r in p.relators) if w]
-    syms = sorted({sym for w in words for sym, _ in w.letters})
-    if len(syms) > TIETZE_MAX_GENERATORS:
-        raise PresentationError("Tietze takes %d generators at most" % TIETZE_MAX_GENERATORS)
-    dec, enc, inv, gen, flip, pairs = _alphabet(tuple(syms))
-    word = lambda s: FreeWord._reduced(tuple(map(dec.__getitem__, s)))
-    holders, rels, heap, fresh, rid, gone = defaultdict(set), {}, [], [], 0, set()
-    for w in words:
-        s, counts = "".join(map(enc.__getitem__, w.letters)), {}
-        for c in s:
-            counts[gen[c]] = counts.get(gen[c], 0) + 1
-        fresh.append((s, counts))
+    gens = list(p.generators)
+    rels = [_tietze_entry(w) for w in (r.cyclic_reduce() for r in p.relators) if w]
     while True:
-        for s, counts in fresh:
-            rid, t = rid + 1, None
-            for g, c in counts.items():
-                holders[g].add(rid)
-                if c == 1 and (t is None or g < t):
-                    t = g
-            rels[rid] = s, counts, t
-            if t:
-                heapq.heappush(heap, (len(s), 0, rid))
-        fresh = []
-        while heap:
-            e = heapq.heappop(heap)
-            while heap and heap[0][-1] not in rels:
-                heapq.heappop(heap)
-            if e[-1] in rels and (e[1] or not heap or heap[0][0] > e[0]):
-                break           # the least printed form, or alone at its length
-            if e[-1] in rels:
-                heapq.heappush(heap, (e[0], 1, format_word(word(rels[e[-1]][0])), e[-1]))
-        else:
+        rels.sort(key=lambda e: e[0])
+        ri = next((i for i, e in enumerate(rels) if e[2] is not None), None)
+        if ri is None:
             break
-        s, counts, t = rels.pop(e[-1])
-        i = max(s.find(t), s.find(inv[t]))
-        del counts[t]
-        w = s[i + 1:] + s[:i]           # r = a t^-1 b gives t = b a, a t b gives (b a)^-1
-        w = w[::-1].translate(flip) if s[i] == t else w
-        seams = w and ((gen[w[0]], inv[w[0]] + w[0]), (gen[w[-1]], w[-1] + inv[w[-1]]))
-        sub = t, w, w[::-1].translate(flip), seams, counts
-        assert not FreeWord(map(dec.__getitem__, s.replace(t, w).replace(inv[t], sub[2])))
-        for x in holders.pop(t) & rels.keys():
-            xs, xc = _substitute(*rels.pop(x)[:2], sub, pairs, inv)
-            if xs:
-                fresh.append((xs, xc))
-        gone.add(dec[t][0])
-    tie = len({len(s) for s, _, _ in rels.values()}) < len(rels)    # print to break a tie
-    out = sorted((len(s), tie and format_word(w), x, w)
-                 for x, (s, _, _) in rels.items() for w in [word(s)])
-    return GroupPresentation(tuple(g for g in p.generators if g not in gone),
-                             tuple(e[-1] for e in out))
+        _, r, target, _ = rels.pop(ri)
+        sub = {target: solve_relation(r, target)}
+        gens.remove(target)
+        for i, (_, x, _, counts) in enumerate(rels):
+            if target in counts:
+                rels[i] = _tietze_entry(x.substitute(sub).cyclic_reduce())
+        rels = [e for e in rels if e[1]]
+    return GroupPresentation(tuple(gens), tuple(e[1] for e in rels))
 
 
-@functools.lru_cache(maxsize=16)
-def _alphabet(syms):
-    """Decoding and encoding maps for the sorted generators syms, each code's
-    inverse and generator, the str.translate inversion table, and pairs."""
-    codes = [chr(n + 0x800 if n >= 0xD800 else n) for n in range(2 * len(syms))]
-    letters = [(sym, e) for sym in syms for e in (1, -1)]
-    inv = {c: chr(ord(c) ^ 1) for c in codes}
-    pairs = {g: ((g, g + inv[g]), (g, inv[g] + g)) for g in codes[::2]}
-    return (dict(zip(codes, letters)), dict(zip(letters, codes)), inv,
-            {c: chr(ord(c) & -2) for c in codes}, str.maketrans(inv), pairs)
-
-
-def _substitute(s, counts, sub, pairs, inv):
-    """Relator s with t replaced by w and t^-1 by wi, freely and cyclically
-    reduced, and its counts (taken over); sub is (t, w, wi, seams, counts of
-    w), and pairs[g] is ((g, g g^-1), (g, g^-1 g)).  As s and w are reduced,
-    only the seams w[0]^-1 w[0] and w[-1] w[-1]^-1 can cancel first; once
-    anything does (or w is empty), every generator's pairs are removed, pass
-    after pass, until a pass removes nothing."""
-    t, w, wi, seams, wcounts = sub
-    k = counts.pop(t)
-    out = s.replace(t, w).replace(inv[t], wi)
-    for g, c in wcounts.items():
-        counts[g] = counts.get(g, 0) + k * c
-    todo = seams or [e for g in counts for e in pairs[g]]
-    while todo and out:
-        removed = False
-        for g, pair in todo:
-            if pair in out:
-                counts[g] -= 2 * out.count(pair)
-                out = out.replace(pair, "")
-                removed = True
-        todo = removed and [e for g in counts for e in pairs[g]]
-    i, j = 0, len(out) - 1
-    while i < j and inv[out[i]] == out[j]:
-        counts[min(out[i], out[j])] -= 2
-        i, j = i + 1, j - 1
-    if j - i + 1 == len(s) + k * (len(w) - 1):     # nothing cancelled
-        return out, counts
-    return out[i:j + 1], {g: c for g, c in counts.items() if c}
+def _tietze_entry(r):
+    """(sort key, relator, least generator occurring once in it or None,
+    occurrence counts of its generators)."""
+    counts = {}
+    for sym, _ in r.letters:
+        counts[sym] = counts.get(sym, 0) + 1
+    once = [sym for sym, c in counts.items() if c == 1]
+    return (len(r), str(r)), r, min(once) if once else None, counts
 
 
 def relator_sets_equal(p1, p2):

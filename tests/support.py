@@ -5,8 +5,8 @@ expansion of straight-line lemma rules, the cycle presentation, relator
 map and certificate of a parameter tuple, and the references the faster
 code must reproduce: the cycle graph's vertex relators written out by
 formula, the telescope words by elimination, the letter-tuple twist
-search, the Tietze simplification that printed every relator and the face
-walk that started each face at the least unvisited edge end; and the
+search and the face walk that started each face at the least unvisited
+edge end; and the finite route's presentation of a braid line and the
 benchmark's workload lines."""
 
 import itertools
@@ -17,10 +17,13 @@ from math import gcd
 from braidcover import braid
 from braidcover.braid import (BraidError, BraidWord, NormalizationError,
                               TWIST_NEG, TWIST_POS, classify_baldwin,
-                              normalize_type1_d1, normalize_type1_dm1)
-from braidcover.diagram import cycle_graph_from_params
+                              expand_fulltwist, normalize_type1_d1,
+                              normalize_type1_dm1, parse_braid)
+from braidcover.cli import run_pipeline
+from braidcover.diagram import closure_white_graph, cycle_graph_from_params
 from braidcover.ordercheck import arc_relators, certify_cycle_non_lo
-from braidcover.presentation import GroupPresentation, cycle_presentation
+from braidcover.presentation import (GroupPresentation, cycle_presentation,
+                                     greene_presentation, tietze_simplify)
 from braidcover.rewrite import (FreeWord, prefix_sums, reduce_letters,
                                 solve_relation, x_sym)
 
@@ -326,47 +329,13 @@ def reference_twist_search(letters):
     return states
 
 
-def reference_tietze_simplify(p):
-    """Eliminate generators that occur exactly once in some relator.
-
-    Abelian invariants are unchanged; the loop is deterministic (shortest
-    relator first, ties by printed form) and stops at a fixpoint.  Each
-    relator's sort key and elimination target are computed once, when the
-    relator is made; an elimination rewrites only the relators that hold
-    the eliminated generator, with its solved word inverted once.
-    """
-    gens = list(p.generators)
-    rels = [_tietze_entry(w) for w in (r.cyclic_reduce() for r in p.relators) if w]
-    while True:
-        rels.sort(key=lambda e: e[0])
-        ri = next((i for i, e in enumerate(rels) if e[2] is not None), None)
-        if ri is None:
-            break
-        _, r, target, _ = rels.pop(ri)
-        word = solve_relation(r, target)
-        spelled = {1: word.letters, -1: word.inverse().letters}
-        gens.remove(target)
-        for i, (_, x, _, counts) in enumerate(rels):
-            if target in counts:
-                out = []
-                for sym, sign in x.letters:
-                    if sym == target:
-                        out.extend(spelled[sign])
-                    else:
-                        out.append((sym, sign))
-                rels[i] = _tietze_entry(FreeWord(out).cyclic_reduce())
-        rels = [e for e in rels if e[1]]
-    return GroupPresentation(tuple(gens), tuple(e[1] for e in rels))
-
-
-def _tietze_entry(r):
-    """(sort key, relator, least generator occurring once in it or None,
-    occurrence counts of its generators)."""
-    counts = {}
-    for sym, _ in r.letters:
-        counts[sym] = counts.get(sym, 0) + 1
-    once = [sym for sym, c in counts.items() if c == 1]
-    return (len(r), str(r)), r, min(once) if once else None, counts
+def finite_presentation(line):
+    """The presentation the finite route enumerates for a braid line: the
+    Tietze-simplified Greene presentation of the word its report presents,
+    rebuilt from that word."""
+    report, _ = run_pipeline(line, canonical=True)
+    word = expand_fulltwist(parse_braid(report["presented"]["word"]))
+    return tietze_simplify(greene_presentation(closure_white_graph(word)))
 
 
 def reference_face_count(g):

@@ -16,12 +16,13 @@ from braidcover.braid import (parse_braid, expand_fulltwist, exponent_sum,
 from braidcover.diagram import (DecoratedCycleGraph, closure_white_graph,
                                 goeritz_matrix)
 from braidcover.presentation import (GroupPresentation, greene_presentation,
-                                     abelianize, tietze_simplify)
+                                     abelianize)
 from braidcover.rewrite import (FreeWord, verify_lemma_x, verify_lemma_y,
                                 verify_lemma_right, verify_product_relation)
 from braidcover.ordercheck import (verify_certificate, todd_coxeter,
                                    positive_cone_search)
-from support import certified, cycle_pres, lemma_rel, normalize_type1
+from support import (certified, cycle_pres, finite_presentation, lemma_rel,
+                     normalize_type1)
 from test_presentation import parallel_graph
 
 w = FreeWord.gen
@@ -100,7 +101,7 @@ def test_criterion_3_finite_groups():
     for text, order, h1 in expected:
         g = closure_white_graph(expand_fulltwist(parse_braid(text)))
         det = abs(goeritz_matrix(g).determinant())
-        pres = tietze_simplify(greene_presentation(g))
+        pres = finite_presentation(text)
         t0 = time.time()
         table = todd_coxeter(pres, max_cosets=10 ** 6)
         elapsed = time.time() - t0

@@ -1,22 +1,24 @@
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 import time
+from math import inf
 
 import pytest
 
 import braidcover
-from braidcover.braid import expand_fulltwist, parse_braid
+from braidcover.braid import (BraidWord, classify_baldwin, expand_fulltwist,
+                              format_braid, parse_braid)
 from braidcover.cli import main, run_pipeline, run_batch, PipelineFailure
 from braidcover.diagram import (DecoratedCycleGraph, closure_white_graph,
-                                cycle_names, graph_dot)
+                                cycle_names, goeritz_matrix, graph_dot)
 from braidcover.ordercheck import todd_coxeter, verify_certificate
-from braidcover.presentation import (cycle_presentation, greene_presentation,
-                                     tietze_simplify)
+from braidcover.presentation import cycle_presentation
 from braidcover.rewrite import parse_word
-from support import certified
+from support import certified, finite_presentation, workload_lines
 
 # the child process imports the same braidcover as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(braidcover.__file__)))
@@ -207,11 +209,16 @@ CERTIFIED = {"verify_certificate": 1, "verify_lemma_left": 1, "left_elimination"
 # m = 1 also the graph of (2, a, b) that the lemmas read (rewrite.LEFT_X).
 # Every cycle graph gets one Greene presentation.
 FAMILY1 = dict(CERTIFIED, twist_search=2, classify_baldwin=2, expand_fulltwist=2,
-               greene_presentation=3, closure_white_graph=3, cycle_graph_from_params=1)
+               greene_presentation=3, closure_white_graph=3, cycle_graph_from_params=1,
+               replay_moves=1)
+# the finite route replays the class moves once and builds one graph, that of
+# the member or its exchange, never the input's
 FINITE = {"twist_search": 1, "classify_baldwin": 1, "expand_fulltwist": 1,
           "greene_presentation": 1, "infinite_witness": 1, "todd_coxeter": 1,
-          "closure_white_graph": 1}
-COUNTED = tuple(FAMILY1) + ("infinite_witness", "todd_coxeter")
+          "closure_white_graph": 1, "replay_moves": 1, "mirror": 1,
+          "tietze_simplify": 1}
+COUNTED = tuple(FAMILY1) + ("infinite_witness", "todd_coxeter", "mirror",
+                            "tietze_simplify")
 # line, verdict, calls per counted function (0 where absent); the second
 # classification of a family (1) line is the normalizer's own
 COUNT_TABLE = [
@@ -355,8 +362,7 @@ def test_pipeline_cone_depth():
     assert code == 0
     cone = report["positive_cone"]
     # every derivation is the identity in the regular action of the group
-    g = closure_white_graph(expand_fulltwist(parse_braid(line)))
-    pres = tietze_simplify(greene_presentation(g))
+    pres = finite_presentation(line)
     regular = todd_coxeter(pres)
     assert cone["generators"] == list(pres.generators)
     assert len(cone["derivations"]) == 2 ** len(pres.generators)
@@ -388,3 +394,126 @@ def test_infinite_subgroup_is_inconclusive(monkeypatch):
     assert report["verdict"]["verdict"] == "Inconclusive"
     assert "has index 2 and infinite abelianization" in \
         report["verdict"]["justification"]
+
+
+# ---------------------------------------------------------------------------
+# The finite route presents the family member its class names, in the
+# colouring with fewer regions.
+# ---------------------------------------------------------------------------
+
+def random_reduced(rng, n):
+    """A freely reduced word of n random letters."""
+    letters = []
+    while len(letters) < n:
+        x = rng.choice(((1, 1), (1, -1), (2, 1), (2, -1)))
+        if not letters or letters[-1] != (x[0], -x[1]):
+            letters.append(x)
+    return tuple(letters)
+
+
+def conjugate(u, text):
+    """The braid line u w u^-1 for the member w spelled by text."""
+    w = parse_braid(text)
+    inverse = tuple((g, -s) for g, s in reversed(u))
+    return format_braid(BraidWord(u + w.letters + inverse, w.fulltwist))
+
+
+def test_finite_route_presents_the_member_in_fewer_regions():
+    report, code = run_pipeline("s1 h s2^5 s1^-1", canonical=True)
+    assert (code, report["group_order"]) == (0, 28)
+    assert report["presented"] == {"word": "h s1^5", "exchange": True}
+    assert report["presentation"]["generators"] == ["w0", "w1", "w2"]
+    # family (3) keeps the member: one s2 letter against |m|, a tie at m = -1
+    for line, word in [("s2 h^2 s1^-3 s2^-1 s2^-1", "h^2 s2^-1 s1^-3"),
+                       ("h s2^-1 s1^-1", "h s2^-1 s1^-1")]:
+        report, code = run_pipeline(line, canonical=True)
+        assert report["presented"] == {"word": word, "exchange": False}, line
+
+
+def test_disguised_h_s2_7_keeps_its_order():
+    rng = random.Random(5)
+    for n in (70, 100, 400):
+        line = conjugate(random_reduced(rng, n), "h s2^7")
+        best = inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            report, code = run_pipeline(line, canonical=True)
+            best = min(best, time.perf_counter() - t0)
+        assert (code, report["group_order"]) == (0, 36), n
+        assert best < 0.5, (n, best)
+
+
+def test_disguised_members_keep_their_verdicts():
+    # family (2) has d = +-1, family (3) d in -1..2 and m in -3..-1
+    members = ["h^%d s2^%d" % (d, m) for d in (1, -1) for m in range(-9, 10)]
+    members += ["h^%d s2^-1 s1^%d" % (d, m) for d in range(-1, 3) for m in (-1, -2, -3)]
+    rng = random.Random(17)
+    for text in members:
+        bare, _ = run_pipeline(text, canonical=True)
+        line = conjugate(random_reduced(rng, rng.randint(1, 400)), text)
+        report, _ = run_pipeline(line, canonical=True)
+        assert report["class"] == bare["class"], line
+        assert report["verdict"]["verdict"] == bare["verdict"]["verdict"], line
+        assert report.get("group_order") == bare.get("group_order"), line
+        d, m = bare["class"]["d"], bare["class"]["m"]
+        if bare["class"]["type"] == 2 and m != -2 * d:
+            # the family (2) closed form, used here only as an oracle
+            assert report["group_order"] == 4 * abs(m + 2 * d), line
+
+
+def test_finite_route_moves_must_reach_the_member(monkeypatch):
+    # the twist is spelled out, so only the class's extraction reaches h s2^5
+    import braidcover.cli as cli
+    line = "s2 s1 s2 s1 s2 s1 s2^5"
+    cls = classify_baldwin(parse_braid(line))
+    assert run_pipeline(line, canonical=True)[0]["presented"]["word"] == "h s1^5"
+    monkeypatch.setattr(cli, "classify_baldwin", lambda w: cls._replace(moves=()))
+    report, code = run_pipeline(line, canonical=True)
+    assert code == 3
+    assert report["soundness_error"] == "the class moves do not replay to h s2^5"
+
+
+def test_finite_route_lines_present_at_most_7_generators():
+    # on every workload line the finite route takes, the presented graph has
+    # the determinant of the input's own graph
+    finite = 0
+    for line in workload_lines():
+        w = parse_braid(line)
+        if classify_baldwin(w).kind not in (2, 3):
+            continue
+        report, _ = run_pipeline(line, canonical=True)
+        assert len(report["presentation"]["generators"]) <= 7, line
+        g = closure_white_graph(expand_fulltwist(w))
+        assert report["determinant"] == abs(goeritz_matrix(g).determinant()), line
+        finite += 1
+    assert finite > 300
+
+
+def test_family2_chains_run_fast():
+    # the member's exchange has three regions whatever m is
+    for line in ("h s2^4000", "h^-1 s2^-4000"):
+        best = inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            report, code = run_pipeline(line, canonical=True)
+            best = min(best, time.perf_counter() - t0)
+        assert (code, report["group_order"]) == (0, 16008), line
+        assert best < 0.5, (line, best)
+
+
+def test_dot_of_the_finite_route_is_the_presented_graph(tmp_path, capsys):
+    dot = tmp_path / "graph.dot"
+    assert main(["pipeline", "h s2^5", "--dot", str(dot), "--json", "--canonical"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["presentation"]["generators"]) == 3
+    assert dot.read_text() == graph_dot(report["graph"])
+    g = closure_white_graph(expand_fulltwist(parse_braid("h s1^5")))
+    assert report["graph"] == g.to_json()
+
+
+def test_text_report_names_the_presented_word(capsys):
+    assert main(["pipeline", "s1 h s2^5 s1^-1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "presented: h s1^5 (s1 <-> s2 exchanged)"
+    assert main(["pipeline", "h s1 s2^-2 s1 s2^-2"]) == 0
+    assert "presented:" not in capsys.readouterr().out

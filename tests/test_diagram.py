@@ -92,6 +92,18 @@ def test_mirror_negates_goeritz():
     assert abs(g1.determinant()) == abs(g2.determinant())
 
 
+def test_goeritz_determinant_is_colour_independent_on_the_workloads():
+    # the exchanged word's white graph is the other checkerboard colouring
+    # of the same closure, so the two Goeritz determinants agree up to sign
+    # (Gordon and Litherland, Invent. Math. 47, 1978)
+    det = lambda w: abs(goeritz_matrix(closure_white_graph(expand_fulltwist(w))).determinant())
+    lines = workload_lines()
+    assert len(lines) > 2000
+    for line in lines:
+        w = parse_braid(line)
+        assert det(w) == det(mirror(w, exchange=True)), line
+
+
 def test_cycle_graph_counts():
     # vertex count including the root is c_n + m + 1
     d = DecoratedCycleGraph(1, (2, 2), (1,))

@@ -22,7 +22,8 @@ from braidcover.ordercheck import (Exhausted, HypothesisNotMet, InfiniteGroup,
                                    VERDICT_FINITE, subgroup_abelianization)
 from braidcover.cli import run_pipeline
 
-from support import certified, certify, cycle_pres, dump_coset_table, normalize_type1
+from support import (certified, certify, cycle_pres, dump_coset_table,
+                     finite_presentation, normalize_type1)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -129,24 +130,27 @@ def test_infinite_subgroup_proves_the_group_infinite():
 
 
 def test_cyclic_subgroup_choice():
-    # a b^-1 occurs in both relators, every other pair in one
-    p = GroupPresentation(("a", "b", "c", "d"),
-                          (w("c") * w("a") * w("b") ** -1,
-                           w("d") * w("a") * w("b") ** -1))
-    assert cyclic_subgroup(p) == (w("a") * w("b") ** -1,)
-    # a tie goes to the first occurrence
-    p = GroupPresentation(("a", "b"), (w("b") * w("a") * w("b") ** 2 * w("a") ** 2,))
-    assert cyclic_subgroup(p) == (w("b") * w("a"),)
+    # the largest |exponent| of a syllable in any relator
+    p = GroupPresentation(("a", "b", "c"),
+                          (w("a") * w("b") ** 2 * w("a") ** 2, w("c") ** -3 * w("a")))
+    assert cyclic_subgroup(p) == (w("c"),)
+    # a tie goes to the least name; syllables are not merged across the seam
+    p = GroupPresentation(("a", "b"), (w("b") ** 2 * w("a") * w("b") ** 2,
+                                       w("a") ** -2))
+    assert cyclic_subgroup(p) == (w("a"),)
+    # the finite route's family (2) presentation: H = <w2>, of index 2
+    p = finite_presentation("h s2^4000")
+    assert cyclic_subgroup(p) == (w("w2"),)
+    assert todd_coxeter(p, subgroup=cyclic_subgroup(p)).index == 2
     assert cyclic_subgroup(GroupPresentation(("v",), (w("v") ** 5,))) == (w("v"),)
+    assert cyclic_subgroup(GroupPresentation(("a", "b"), ())) == (w("a"),)
     assert cyclic_subgroup(GroupPresentation((), ())) == ()
-    assert cyclic_subgroup(GroupPresentation(("a", "b"), (w("a") ** 2,))) == ()
 
 
 def test_subgroup_route_matches_the_regular_action_on_the_finite_workload():
     closed = 0
     for op in workloads.generate("finite", 1):
-        g = closure_white_graph(expand_fulltwist(parse_braid(op.line)))
-        p = tietze_simplify(greene_presentation(g))
+        p = finite_presentation(op.line)
         if infinite_witness(p) is not None:
             continue
         table = todd_coxeter(p, subgroup=cyclic_subgroup(p))
@@ -202,8 +206,7 @@ def test_witness_passes_the_finite_workload():
     for op in workloads.generate("finite", 1):
         if op.line == "h^-1 s2^2":
             continue
-        g = closure_white_graph(expand_fulltwist(parse_braid(op.line)))
-        assert infinite_witness(tietze_simplify(greene_presentation(g))) is None, op.line
+        assert infinite_witness(finite_presentation(op.line)) is None, op.line
         checked += 1
     assert checked >= 60
 
