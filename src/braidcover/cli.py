@@ -134,9 +134,10 @@ def _finite_route(report, w, cls, max_cosets, cone_depth=None):
     The class moves, replayed from w, must reach the member h^d s2^m or
     h^d s2^-1 s1^m.  Of it and its s1 <-> s2 exchange (conjugates, so one
     closure) the one with fewer s2 letters is presented, the member on a
-    tie: at most 7 generators, whatever w is.  After Tietze, an index-2
-    subgroup with infinite abelianization proves the group infinite
-    (inconclusive); else the cosets of a cyclic H are enumerated and |H|
+    tie: at most 7 generators, whatever w is, and Tietze only removes
+    some.  Each of their at most 2^7 - 1 maps onto Z/2 is tried: a kernel
+    with infinite abelianization, of index 2, proves the group infinite
+    (inconclusive).  Else the cosets of a cyclic H are enumerated and |H|
     read off the closed table.  A cap hit or an infinite H is inconclusive.
     The positive-cone search enumerates the trivial subgroup itself, as it
     needs the regular action.
@@ -292,6 +293,8 @@ def _print_report(report, as_json):
         print("order:     %d" % report["group_order"])
     v = report.get("verdict", {})
     print("verdict:   %s  [%s]" % (v.get("verdict"), v.get("justification")))
+    if "soundness_error" in report:
+        print("soundness error: %s" % report["soundness_error"])
 
 
 def cmd_pipeline(args):
@@ -354,6 +357,10 @@ def _batch_entry(line, max_cosets):
             return report, "soundness_failure"
         return report, "inconclusive"
     _, m, a, b = item
+    try:
+        dec = DecoratedCycleGraph(m, a, b)
+    except DiagramError as e:
+        return {"input": line, "error": str(e)}, "input_error"
     # the cycle word s2^m s1^a0 s2^-b1 ... s1^an is bounded as a braid line's is
     size = m + sum(a) + sum(b)
     if size > MAX_LETTERS:
@@ -361,7 +368,6 @@ def _batch_entry(line, max_cosets):
                 "MAX_LETTERS = %d" % (size, MAX_LETTERS)}, "input_error"
     entry = {"input": line, "params": {"m": m, "a": list(a), "b": list(b)}}
     try:
-        dec = DecoratedCycleGraph(m, a, b)
         g = cycle_graph_from_params(m, a, b)
         cert = certify_cycle_non_lo(dec, g)
         ok, problems = verify_certificate(cert.to_json(), cycle_presentation(g))

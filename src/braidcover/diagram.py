@@ -198,10 +198,6 @@ class DecoratedCycleGraph(namedtuple("DecoratedCycleGraph", "m a b")):
     def cn(self):
         return sum(self.b)
 
-    def vertex_count(self):
-        """Vertices of the graph including the root: c_n + m + 1."""
-        return self.cn + self.m + 1
-
     def hypothesis_ok(self):
         """The order-obstruction hypothesis: m > 1, or m = 1 with a0, an > 1."""
         return self.m > 1 or (self.a[0] > 1 and self.a[-1] > 1)

@@ -8,9 +8,10 @@ the lemmas are re-derived from.  The finite route enumerates
 the cosets of a cyclic subgroup H and reads |H| off the abelianized
 Reidemeister-Schreier presentation of H over the closed table, so |G| =
 [G:H] |H|.  The same subgroup abelianization proves a group infinite,
-from an index-2 subgroup before enumeration or from H after it.  A
-bounded positive-cone search, on the regular action only, is included as
-a generic brute-force obstruction.
+from H after enumeration or, before it, from the kernel of a map onto
+Z/2, found by trying every assignment of the at most 7 generators the
+finite route presents.  A bounded positive-cone search, on the regular
+action only, is included as a generic brute-force obstruction.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class CosetTable:
     def __init__(self, generators, order, table, cosets_defined, index):
         self.generators = generators
         self.order = order                  # |G| = index * |H|
-        self.table = table                  # live rows, standardized numbering
+        self.table = table                  # live rows, H at coset 0
         self.cosets_defined = cosets_defined
         self.index = index                  # [G:H], the number of rows
 
@@ -196,10 +197,9 @@ def todd_coxeter(p, max_cosets=10 ** 6, subgroup=()):
         alpha += 1
 
     live = [i for i in range(len(table)) if rep(i) == i]
-    # compress to live cosets, then standardize by scan order
+    # compress to live cosets; H stays coset 0
     index = {c: i for i, c in enumerate(live)}
     rows = [[index[rep(table[c][x])] for x in range(ncols)] for c in live]
-    rows = _standardize(rows, ncols)
     order = len(rows)
     if any(subgroup):
         h = subgroup_abelianization(p, rows)
@@ -228,23 +228,6 @@ def cyclic_subgroup(p):
     if not top:
         return ()
     return (FreeWord.gen(min(top, key=lambda g: (-top[g], g))),)
-
-
-def _standardize(rows, ncols):
-    """Renumber cosets in order of first appearance row by row."""
-    order = {0: 0}
-    new_to_old = [0]
-    i = 0
-    while i < len(new_to_old):
-        old = new_to_old[i]
-        for x in range(ncols):
-            t = rows[old][x]
-            if t not in order:
-                order[t] = len(order)
-                new_to_old.append(t)
-        i += 1
-    assert len(new_to_old) == len(rows)
-    return [[order[t] for t in rows[old]] for old in new_to_old]
 
 
 # ---------------------------------------------------------------------------
@@ -298,69 +281,36 @@ def subgroup_abelianization(p, rows):
     return AbelianInvariants(tuple(d for d in diag if d > 1), len(col) - len(diag))
 
 
-# dim H1(G; F2) above which infinite_witness gives up: it tries all
-# 2^dim - 1 maps onto Z/2
-WITNESS_MAX_DIM = 8
+# generators above which infinite_witness gives up: it tries all 2^n - 1
+# maps onto Z/2, and every finite-route presentation has at most 7
+WITNESS_MAX_GENERATORS = 8
 
 
 def infinite_witness(p):
     """A map onto Z/2 whose kernel has infinite abelianization, or None.
 
     That kernel has index 2, so the group is infinite and coset
-    enumeration of it cannot close.  The maps are the nonzero solutions
-    of the exponent-sum matrix mod 2, all of them tried (the infinite
-    dihedral group has one good map among three); each kernel is
+    enumeration of it cannot close.  Every nonzero assignment of the
+    generators to Z/2 is tried (the infinite dihedral group has one good
+    map among three), skipping those under which some relator has odd
+    exponent sum, which are no maps of the group; each kernel is
     abelianized from its two-coset table.  Returns {generator: 0 or 1}
     for the first kernel of positive free rank.  None when no kernel has
-    one or H1(G; F2) has dimension above WITNESS_MAX_DIM; a finite group
-    always gets None.
+    one or there are more than WITNESS_MAX_GENERATORS generators; a
+    finite group always gets None.
     """
     gens = p.generators
-    col = {g: i for i, g in enumerate(gens)}
-    rows = []
-    for r in p.relators:
-        row = 0
-        for sym, _ in r.letters:
-            row ^= 1 << col[sym]
-        rows.append(row)
-    basis = _f2_solutions(rows, len(gens))
-    if len(basis) > WITNESS_MAX_DIM:
+    if len(gens) > WITNESS_MAX_GENERATORS:
         return None
-    for pick in range(1, 1 << len(basis)):
-        bits = 0
-        for i, v in enumerate(basis):
-            if pick >> i & 1:
-                bits ^= v
+    relators = [r.pairs() for r in p.relators]
+    for bits in range(1, 1 << len(gens)):
         eps = {g: bits >> i & 1 for i, g in enumerate(gens)}
+        if any(sum(e for sym, e in r if eps[sym]) & 1 for r in relators):
+            continue
         table = [[c ^ eps[g] for g in gens for _ in (0, 1)] for c in (0, 1)]
         if subgroup_abelianization(p, table).rank:
             return eps
     return None
-
-
-def _f2_solutions(rows, n):
-    """Basis of {x in F2^n : r.x = 0 for each row}; vectors as bitmasks."""
-    pivots = {}                 # pivot column -> row, in reduced echelon form
-    for r in rows:
-        for c, pr in pivots.items():
-            if r >> c & 1:
-                r ^= pr
-        if not r:
-            continue
-        c = (r & -r).bit_length() - 1
-        for c2, pr in pivots.items():
-            if pr >> c & 1:
-                pivots[c2] = pr ^ r
-        pivots[c] = r
-    basis = []
-    for f in range(n):
-        if f not in pivots:
-            x = 1 << f
-            for c, pr in pivots.items():
-                if pr >> f & 1:
-                    x |= 1 << c
-            basis.append(x)
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import heapq
 from collections import namedtuple
 from math import gcd, inf
 
-from .rewrite import FreeWord, format_word, solve_relation
+from .rewrite import FreeWord, solve_relation
 
 
 class PresentationError(Exception):
@@ -41,10 +41,6 @@ class GroupPresentation(namedtuple("GroupPresentation", "generators relators")):
     def to_json(self):
         return {"generators": list(self.generators),
                 "relators": [r.pairs() for r in self.relators]}
-
-    def pretty(self):
-        return "< %s | %s >" % (", ".join(self.generators),
-                                ", ".join(format_word(r) for r in self.relators))
 
 
 def greene_presentation(g, keep_root=False):

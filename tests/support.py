@@ -5,9 +5,10 @@ expansion of straight-line lemma rules, the cycle presentation, relator
 map and certificate of a parameter tuple, and the references the faster
 code must reproduce: the cycle graph's vertex relators written out by
 formula, the telescope words by elimination, the letter-tuple twist
-search and the face walk that started each face at the least unvisited
-edge end; and the finite route's presentation of a braid line and the
-benchmark's workload lines."""
+search, the face walk that started each face at the least unvisited
+edge end and the index-2 witness search over a GF(2) basis; and the
+finite route's presentation of a braid line and the benchmark's workload
+lines."""
 
 import itertools
 import os
@@ -21,7 +22,8 @@ from braidcover.braid import (BraidError, BraidWord, NormalizationError,
                               normalize_type1_dm1, parse_braid)
 from braidcover.cli import run_pipeline
 from braidcover.diagram import closure_white_graph, cycle_graph_from_params
-from braidcover.ordercheck import arc_relators, certify_cycle_non_lo
+from braidcover.ordercheck import (arc_relators, certify_cycle_non_lo,
+                                   subgroup_abelianization)
 from braidcover.presentation import (GroupPresentation, cycle_presentation,
                                      greene_presentation, tietze_simplify)
 from braidcover.rewrite import (FreeWord, prefix_sums, reduce_letters,
@@ -336,6 +338,62 @@ def finite_presentation(line):
     report, _ = run_pipeline(line, canonical=True)
     word = expand_fulltwist(parse_braid(report["presented"]["word"]))
     return tietze_simplify(greene_presentation(closure_white_graph(word)))
+
+
+# dim H1(G; F2) above which reference_infinite_witness gives up
+WITNESS_MAX_DIM = 8
+
+
+def reference_infinite_witness(p):
+    """infinite_witness as it was written for larger presentations: the
+    maps onto Z/2 are the nonzero combinations of a basis of the solutions
+    of the exponent-sum matrix mod 2, capped by that basis's dimension."""
+    gens = p.generators
+    col = {g: i for i, g in enumerate(gens)}
+    rows = []
+    for r in p.relators:
+        row = 0
+        for sym, _ in r.letters:
+            row ^= 1 << col[sym]
+        rows.append(row)
+    basis = _f2_solutions(rows, len(gens))
+    if len(basis) > WITNESS_MAX_DIM:
+        return None
+    for pick in range(1, 1 << len(basis)):
+        bits = 0
+        for i, v in enumerate(basis):
+            if pick >> i & 1:
+                bits ^= v
+        eps = {g: bits >> i & 1 for i, g in enumerate(gens)}
+        table = [[c ^ eps[g] for g in gens for _ in (0, 1)] for c in (0, 1)]
+        if subgroup_abelianization(p, table).rank:
+            return eps
+    return None
+
+
+def _f2_solutions(rows, n):
+    """Basis of {x in F2^n : r.x = 0 for each row}; vectors as bitmasks."""
+    pivots = {}                 # pivot column -> row, in reduced echelon form
+    for r in rows:
+        for c, pr in pivots.items():
+            if r >> c & 1:
+                r ^= pr
+        if not r:
+            continue
+        c = (r & -r).bit_length() - 1
+        for c2, pr in pivots.items():
+            if pr >> c & 1:
+                pivots[c2] = pr ^ r
+        pivots[c] = r
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            x = 1 << f
+            for c, pr in pivots.items():
+                if pr >> f & 1:
+                    x |= 1 << c
+            basis.append(x)
+    return basis
 
 
 def reference_face_count(g):

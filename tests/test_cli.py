@@ -15,8 +15,10 @@ from braidcover.braid import (BraidWord, classify_baldwin, expand_fulltwist,
 from braidcover.cli import main, run_pipeline, run_batch, PipelineFailure
 from braidcover.diagram import (DecoratedCycleGraph, closure_white_graph,
                                 cycle_names, goeritz_matrix, graph_dot)
-from braidcover.ordercheck import todd_coxeter, verify_certificate
-from braidcover.presentation import cycle_presentation
+from braidcover.ordercheck import (WITNESS_MAX_GENERATORS, todd_coxeter,
+                                   verify_certificate)
+from braidcover.presentation import (cycle_presentation, greene_presentation,
+                                     tietze_simplify)
 from braidcover.rewrite import parse_word
 from support import certified, finite_presentation, workload_lines
 
@@ -319,6 +321,20 @@ def test_oversized_grid_line_is_an_input_error():
     assert results[0]["verdict"] == "NonLO_Certified" and counts["ok"] == 1
 
 
+def test_out_of_range_grid_parameters_are_input_errors():
+    lines = {"(0; 1,1; 1)": "need m >= 1 and len(a) == len(b) + 1",
+             "(-5; 1,1; 1)": "need m >= 1 and len(a) == len(b) + 1",
+             "(3; 1,0; 1)": "all a_i and b_i must be positive",
+             "(3; 1,1; -1)": "all a_i and b_i must be positive",
+             "(3; 1,1; 1,1)": "need m >= 1 and len(a) == len(b) + 1"}
+    results, counts = run_batch(list(lines))
+    assert results == [{"input": k, "error": v} for k, v in lines.items()]
+    assert counts["input_error"] == 5 and counts["soundness_failure"] == 0
+    results, counts = run_batch(["(3; 1; )"])
+    assert counts["hypothesis_not_met"] == 1
+    assert results[0]["reason"] == "degenerate cycle (n = 0)"
+
+
 def test_long_segment_certifies_fast():
     t0 = time.perf_counter()
     report, code = run_pipeline("h s1 s2^-201 s1 s2^-2", canonical=True)
@@ -461,7 +477,7 @@ def test_disguised_members_keep_their_verdicts():
             assert report["group_order"] == 4 * abs(m + 2 * d), line
 
 
-def test_finite_route_moves_must_reach_the_member(monkeypatch):
+def test_finite_route_moves_must_reach_the_member(monkeypatch, capsys):
     # the twist is spelled out, so only the class's extraction reaches h s2^5
     import braidcover.cli as cli
     line = "s2 s1 s2 s1 s2 s1 s2^5"
@@ -471,11 +487,15 @@ def test_finite_route_moves_must_reach_the_member(monkeypatch):
     report, code = run_pipeline(line, canonical=True)
     assert code == 3
     assert report["soundness_error"] == "the class moves do not replay to h s2^5"
+    assert main(["pipeline", line]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "soundness error: the class moves do not replay to h s2^5"
 
 
 def test_finite_route_lines_present_at_most_7_generators():
     # on every workload line the finite route takes, the presented graph has
-    # the determinant of the input's own graph
+    # the determinant of the input's own graph, and what Tietze leaves of its
+    # presentation is small enough for every map onto Z/2 to be tried
     finite = 0
     for line in workload_lines():
         w = parse_braid(line)
@@ -483,6 +503,9 @@ def test_finite_route_lines_present_at_most_7_generators():
             continue
         report, _ = run_pipeline(line, canonical=True)
         assert len(report["presentation"]["generators"]) <= 7, line
+        word = expand_fulltwist(parse_braid(report["presented"]["word"]))
+        pres = tietze_simplify(greene_presentation(closure_white_graph(word)))
+        assert len(pres.generators) <= WITNESS_MAX_GENERATORS, line
         g = closure_white_graph(expand_fulltwist(w))
         assert report["determinant"] == abs(goeritz_matrix(g).determinant()), line
         finite += 1

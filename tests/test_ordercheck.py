@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import os
+import random
 import sys
 import time
 
@@ -17,13 +18,14 @@ from braidcover.ordercheck import (Exhausted, HypothesisNotMet, InfiniteGroup,
                                    SoundnessError, todd_coxeter, cyclic_subgroup,
                                    infinite_witness, positive_cone_search,
                                    torsion_non_lo, verify_certificate,
-                                   WITNESS_MAX_DIM,
+                                   WITNESS_MAX_GENERATORS,
                                    VERDICT_TORSION, VERDICT_INCONCLUSIVE,
                                    VERDICT_FINITE, subgroup_abelianization)
 from braidcover.cli import run_pipeline
 
 from support import (certified, certify, cycle_pres, dump_coset_table,
-                     finite_presentation, normalize_type1)
+                     finite_presentation, normalize_type1,
+                     reference_infinite_witness)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -185,8 +187,37 @@ def test_witness_caps_the_mod_2_dimension():
     def free_product(k):
         gens = tuple("g%d" % i for i in range(k))
         return GroupPresentation(gens, tuple(w(g) ** 2 for g in gens))
-    assert infinite_witness(free_product(WITNESS_MAX_DIM)) is not None
-    assert infinite_witness(free_product(WITNESS_MAX_DIM + 1)) is None
+    assert infinite_witness(free_product(WITNESS_MAX_GENERATORS)) is not None
+    assert infinite_witness(free_product(WITNESS_MAX_GENERATORS + 1)) is None
+
+
+def random_presentation(rng):
+    gens = tuple("g%d" % i for i in range(rng.randint(1, 8)))
+    relators = []
+    for _ in range(rng.randint(0, len(gens) + 2)):
+        r = FreeWord([(rng.choice(gens), rng.choice((1, -1)))
+                      for _ in range(rng.randint(1, 5))])
+        if r:
+            relators.append(r)
+    return GroupPresentation(gens, tuple(relators))
+
+
+def test_witness_agrees_with_the_gf2_basis_search():
+    rng = random.Random(18)
+    found = 0
+    for _ in range(1000):
+        p = random_presentation(rng)
+        eps = infinite_witness(p)
+        assert (eps is None) == (reference_infinite_witness(p) is None), p
+        if eps is None:
+            continue
+        found += 1
+        assert any(eps.values()), p
+        for r in p.relators:
+            assert sum(eps[sym] for sym, _ in r.letters) % 2 == 0, p
+        table = [[c ^ eps[g] for g in p.generators for _ in (0, 1)] for c in (0, 1)]
+        assert subgroup_abelianization(p, table).rank > 0, p
+    assert 0 < found < 1000
 
 
 def test_subgroup_abelianization_of_index2_kernels():
