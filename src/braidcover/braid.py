@@ -31,7 +31,7 @@ class NormalizationError(BraidError):
 
 
 MAX_LETTERS = 10 ** 6   # longest word parse_braid expands, each h six letters
-MAX_TWIST_STATES = 4096  # search states twist_search lists before it stops
+MAX_TWIST_STATES = 4096  # cyclic classes twist_search lists before it stops
 
 # letters are (generator, sign) with generator 1 or 2 and sign +1/-1
 S1, S1I, S2, S2I = (1, 1), (1, -1), (2, 1), (2, -1)
@@ -155,8 +155,8 @@ class BaldwinClass(namedtuple("BaldwinClass", "kind d a m stopped_at moves",
     `moves`, the twist_search path that realised it, is not compared.  The
     family (1) normalizers replay it, and so does the finite route, which
     checks that it reaches the member the class spells.  A kind 0 class
-    whose search hit MAX_TWIST_STATES holds that cap in `stopped_at`: it is
-    not known to lie outside the families."""
+    whose search listed MAX_TWIST_STATES cyclic classes holds that cap in
+    `stopped_at`: it is not known to lie outside the families."""
     __slots__ = ()
 
     def __eq__(self, other):
@@ -185,14 +185,23 @@ NOT_IN_FAMILY = BaldwinClass(0)
 
 def twist_search(letters):
     """Reachable (letters, dd, moves) states under cyclic cancellation and
-    twist extraction, breadth first.
+    twist extraction, breadth first, one state per cyclic word and dd.
 
     Cancellation can destroy a spelled-out twist and extraction can block a
-    cancellation, so both orders are explored; states are deduplicated and
-    the listing order is deterministic: the cancellation first, then each
-    cyclic occurrence of a twist spelling by sign, spelling and offset.
-    `moves` replays from the freely reduced input.  The listing stops once
-    it holds MAX_TWIST_STATES states.
+    cancellation, so both orders are explored.  The listing order is
+    deterministic: the cancellation first, then each cyclic occurrence of a
+    twist spelling by sign, spelling and offset.  `moves` replays from the
+    freely reduced input.  The listing stops once it holds MAX_TWIST_STATES
+    states, that is, cyclic classes.
+
+    A state is listed only if no rotation of it was listed before: it keeps
+    the spelling and moves of the first rotation found.  Nothing is lost.
+    A successor of a cyclically reduced state is the cyclic word with one
+    twist block removed, read from just after the block, so every rotation
+    of the state has the same successors and none has a cancellation
+    successor; a freely reduced word whose ends cancel has no other freely
+    reduced rotation; and `_match_state` gives the same answer on every
+    rotation.
 
     States are searched encoded (see the module docstring).  Rotating an
     occurrence at offset rot to the front and dropping it leaves
@@ -200,43 +209,54 @@ def twist_search(letters):
     their seam pairs cur[-1] with cur[0], so it cancels only when the ends
     of cur do.  An occurrence across the end leaves the plain slice
     cur[rot+6-n:rot], and the cancellation successor of cur is cur[1:-1].
-    A successor's moves are built only when its state is new.
+    When nothing cancels, a successor is looked up by the block deleted in
+    place, cur[:rot] + cur[rot+6:], which is one of its rotations.  Deleting
+    any one of a row of spelled-out twists leaves the same string, so an
+    occurrence that leaves the string the one before it left is skipped,
+    and a row costs one least rotation, not one per twist.  A successor's
+    moves are built only when its state is new.
     """
     start = _encode(reduce_letters(letters))
     states = [(start, 0, ())]
-    seen = {(start, 0)}
+    seen = set()    # (least rotation, dd) of each listed state
+
+    def new_class(word, dd):
+        if not seen:        # the start's key is needed from the first successor on
+            seen.add((least_rotation(start), 0))
+        key = (least_rotation(word), dd)
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
+
     i = 0
     while i < len(states) and len(states) < MAX_TWIST_STATES:
         cur, dd, moves = states[i]
         i += 1
         nn = len(cur)
         ends_cancel = nn > 0 and cur[0] == cur[-1].swapcase()
-        if ends_cancel:
-            key = (cur[1:-1], dd)
-            if key not in seen:
-                seen.add(key)
-                states.append(key + (moves + (("rotate", 1), ("reduce",)),))
+        if ends_cancel and new_class(cur[1:-1], dd):
+            states.append((cur[1:-1], dd, moves + (("rotate", 1), ("reduce",))))
         if nn < 6:
             continue
         ring = cur + cur[:5]
         for sign, pats in _TWIST_CODES:
             for pat in pats:
-                rot = ring.find(pat)
+                rot, last = ring.find(pat), None
                 while 0 <= rot < nn:
                     if rot + 6 > nn:
-                        rest = cur[rot + 6 - nn:rot]
+                        rest = spot = cur[rot + 6 - nn:rot]
                     elif ends_cancel:
-                        rest = _join(cur[rot + 6:], cur[:rot])
+                        rest = spot = _join(cur[rot + 6:], cur[:rot])
                     else:
                         rest = cur[rot + 6:] + cur[:rot]
-                    key = (rest, dd + sign)
-                    if key not in seen:
-                        seen.add(key)
+                        spot = cur[:rot] + cur[rot + 6:]
+                    if spot != last and new_class(spot, dd + sign):
                         step = (("extract_h", sign), ("reduce",))
                         if rot:
                             step = (("rotate", rot),) + step
-                        states.append(key + (moves + step,))
-                    rot = ring.find(pat, rot + 1)
+                        states.append((rest, dd + sign, moves + step))
+                    rot, last = ring.find(pat, rot + 1), spot
     return [(_decode(code), dd, moves) for code, dd, moves in states]
 
 

@@ -323,8 +323,8 @@ def _parse_grid_line(line):
     if line.startswith("("):
         body = line.strip("() \t")
         mpart, apart, bpart = [p.strip() for p in body.split(";")]
-        a = tuple(int(x) for x in apart.split(",") if x.strip())
-        b = tuple(int(x) for x in bpart.split(",") if x.strip()) if bpart else ()
+        # an empty list is (), but an empty field in a list is an error
+        a, b = (tuple(map(int, p.split(","))) if p else () for p in (apart, bpart))
         return ("params", int(mpart), a, b)
     return ("braid", line)
 

@@ -305,8 +305,10 @@ def _find_twists(letters):
 
 
 def reference_twist_search(letters):
-    """The twist search on letter tuples, reducing each successor in full;
-    braid.twist_search must list the same states in the same order."""
+    """The twist search on letter tuples, reducing each successor in full
+    and keeping every state whose exact spelling is new.  braid.twist_search
+    lists the same states in the same order once later rotations are
+    dropped (`drop_later_rotations`)."""
     start = reduce_letters(letters)
     states = [(start, 0, ())]
     seen = {(start, 0)}
@@ -329,6 +331,19 @@ def reference_twist_search(letters):
                 seen.add(key)
                 states.append(nxt)
     return states
+
+
+def drop_later_rotations(states):
+    """A twist-search listing without each state that is a rotation of one
+    listed earlier with the same dd; rotations are compared by trying all."""
+    kept, met = [], set()
+    for state in states:
+        word, dd = state[0], state[1]
+        key = (min([word[i:] + word[:i] for i in range(len(word))] or [word]), dd)
+        if key not in met:
+            met.add(key)
+            kept.append(state)
+    return kept
 
 
 def finite_presentation(line):

@@ -8,6 +8,7 @@ import time
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import braidcover
 from braidcover.braid import (BraidWord, classify_baldwin, expand_fulltwist,
@@ -19,7 +20,8 @@ from braidcover.ordercheck import (WITNESS_MAX_GENERATORS, todd_coxeter,
                                    verify_certificate)
 from braidcover.presentation import (cycle_presentation, greene_presentation,
                                      tietze_simplify)
-from braidcover.rewrite import parse_word
+from braidcover.rewrite import FreeWord, parse_word
+from b3oracle import burau_determinant
 from support import certified, finite_presentation, workload_lines
 
 # the child process imports the same braidcover as the tests, installed or not
@@ -122,13 +124,45 @@ def test_pipeline_truncated_twist_search(monkeypatch):
     text = "s1 s2 " * 54 + "s1 s2^-2"
     report, _ = run_pipeline(text, canonical=True)
     assert report["verdict"]["justification"].startswith("not in any")
-    monkeypatch.setattr(braid, "MAX_TWIST_STATES", 50)
+    monkeypatch.setattr(braid, "MAX_TWIST_STATES", 5)   # of its 19
     report, code = run_pipeline(text, canonical=True)
     assert code == 1
-    assert report["class"] == {"type": None, "stopped_at": 50}
+    assert report["class"] == {"type": None, "stopped_at": 5}
     assert report["verdict"]["verdict"] == "Inconclusive"
     assert report["verdict"]["justification"].startswith(
-        "the twist search stopped at its cap of 50 states")
+        "the twist search stopped at its cap of 5 states")
+
+
+def test_many_spelled_out_twists_are_decided():
+    # h^-40, then 41 spelled-out twists (s2 s1)^3, then a rotation of the
+    # member s1 s2^-1 s1 s2^-2: 19 cyclic classes, where 4,096 exact
+    # spellings did not reach the member
+    text = "h^-40 " + "s2 s1 " * 123 + "s2^-1 s1 s2^-2 s1"
+    best = inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        report, code = run_pipeline(text, canonical=True)
+        best = min(best, time.perf_counter() - t0)
+    assert (code, report["verdict"]["verdict"]) == (0, "NonLO_Certified")
+    assert report["class"] == {"type": 1, "d": 1, "a": [1, 2]}
+    assert best < 1.0
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.sampled_from(((1, 1), (1, -1), (2, 1), (2, -1))), max_size=40),
+       st.integers(min_value=-2, max_value=2))
+def test_random_words_classify_by_cyclic_word_and_never_fail(letters, d):
+    # every rotation of a cyclically reduced word gets one class; rotations
+    # of other words need not (the twist search sees no braid relations)
+    w = BraidWord(tuple(letters), d)
+    core = FreeWord(w.letters).cyclic_reduce().letters
+    c = classify_baldwin(BraidWord(core, d))
+    for k in range(1, len(core)):
+        assert classify_baldwin(BraidWord(core[k:] + core[:k], d)) == c
+    report, code = run_pipeline(format_braid(w), canonical=True)
+    assert code != 3
+    if "determinant" in report:
+        assert report["determinant"] == burau_determinant(w)
 
 
 def test_pipeline_parse_error():
@@ -333,6 +367,14 @@ def test_out_of_range_grid_parameters_are_input_errors():
     results, counts = run_batch(["(3; 1; )"])
     assert counts["hypothesis_not_met"] == 1
     assert results[0]["reason"] == "degenerate cycle (n = 0)"
+
+
+def test_empty_grid_fields_are_input_errors():
+    # an empty field is not dropped: (3; 1,,1; 1) is not (3; 1,1; 1)
+    lines = ["(3; 1,,1; 1)", "(3; 1,1,; 1)", "(3; 1,1; ,1)", "(3; 1, ,1; 1)"]
+    results, counts = run_batch(lines)
+    assert results == [{"input": k, "error": "unparseable grid line"} for k in lines]
+    assert counts["input_error"] == 4 and counts["ok"] == 0
 
 
 def test_long_segment_certifies_fast():
