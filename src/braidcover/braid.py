@@ -298,8 +298,12 @@ def classify_baldwin(w):
     """Family membership up to free/cyclic reduction and twist extraction.
 
     All extraction/cancellation orders are searched; among the states that
-    match a family the least (kind, d, parameters) match is returned, which
-    keeps the answer independent of the stored rotation.  The class carries
+    match a family the least (kind, d, parameters) match is returned, so
+    every rotation of a cyclically reduced word gets the same class.  A word
+    whose ends cancel need not: s1 s2 s1 s2 s1 s2 s1^-1 s2^-1 s1^-1 is
+    family (3) with d = 1, m = -2, but in its rotation
+    s2 s1 s2 s1 s2 s1^-1 s2^-1 s1^-1 s1 the twist is spelled across letters
+    that cancel, and no family matches.  The class carries
     the moves of the first search state giving that match, so a normalizer
     can replay the path instead of searching again.
     """

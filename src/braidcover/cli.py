@@ -107,7 +107,7 @@ def _diagram_block(report, w):
     Returns (Greene presentation, determinant, abelian invariants)."""
     expanded = expand_fulltwist(w)
     g = closure_white_graph(expanded)
-    det = abs(goeritz_matrix(g).determinant())
+    det = goeritz_matrix(g).determinant()
     pres = greene_presentation(g)
     inv = abelianize(pres)
     report["graph"] = g.to_json()
@@ -211,7 +211,7 @@ def _cycle_route(report, w, cls):
     graph2 = cycle_names(graph2, dec.m)
     pres = cycle_presentation(graph2)
     report["cycle_presentation"] = pres.to_json()
-    det2 = abs(goeritz_matrix(graph2).determinant())
+    det2 = goeritz_matrix(graph2).determinant()
     if det2 != det:
         raise SoundnessError("normalization changed the diagram determinant")
     try:

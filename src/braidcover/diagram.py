@@ -20,8 +20,10 @@ s2-positive path, which pins the convention for every other word.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import prod
 
 from .braid import BraidWord, reduce_letters
+from .presentation import smith_normal_form
 from .rewrite import prefix_sums
 
 
@@ -370,13 +372,19 @@ def _reads_neg_roots_pos(g, v):
 
 
 class GoeritzMatrix:
-    """rows[i] maps column j to the nonzero entry (i, j); labels name both."""
+    """rows[i] maps column j to the nonzero entry (i, j); labels name both.
+
+    The matrix presents H1 of the double branched cover (Gordon and
+    Litherland), so its Smith form gives the same invariants as the Greene
+    presentation's, whose exponent matrix it is."""
 
     def __init__(self, labels, rows):
         self.labels, self.rows = labels, rows
 
     def determinant(self):
-        return _int_det([dict(r) for r in self.rows])
+        """|det|: the product of the Smith diagonal, 0 when it is short."""
+        diag = smith_normal_form(self.rows, len(self.labels))
+        return prod(diag) if len(diag) == len(self.labels) else 0
 
 
 def goeritz_matrix(g):
@@ -396,52 +404,6 @@ def goeritz_matrix(g):
             rows[i][j] = rows[i].get(j, 0) - s
             rows[j][i] = rows[j].get(i, 0) - s
     return GoeritzMatrix(labels, tuple({j: x for j, x in r.items() if x} for r in rows))
-
-
-def _int_det(rows):
-    """Fraction-free elimination (Bareiss) over sparse rows, exact over Z.
-
-    Rows are dicts column -> nonzero entry, used up in place.  Bareiss
-    keeps every entry a minor of the input, so each division below is
-    exact.  A step would only rescale a row with no entry in the pivot
-    column, by p / prev; it is left as stored instead, its true entries
-    being the stored ones times prev / base[i].  A row the step does
-    change is computed from its stored entries, dividing by base[i] in
-    place of prev.  So a step visits the pivot row and the rows it
-    changes, and only their nonzero entries.
-    """
-    n = len(rows)
-    base = [1] * n
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if k not in rows[k]:
-            for i in range(k + 1, n):
-                if k in rows[i]:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    base[k], base[i] = base[i], base[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        top = rows[k]
-        if base[k] != prev:
-            top = {j: v * prev // base[k] for j, v in top.items()}
-        p = top.pop(k)
-        for i in range(k + 1, n):
-            row = rows[i]
-            if k in row:
-                a = row.pop(k)
-                b = base[i]
-                new = {j: v * p // b for j, v in row.items() if j not in top}
-                for j, v in top.items():
-                    x = (row.get(j, 0) * p - a * v) // b
-                    if x:
-                        new[j] = x
-                rows[i] = new
-                base[i] = p
-        prev = p
-    return sign * prev
 
 
 def is_alternating_closure(c):

@@ -6,13 +6,15 @@ root generator is killed.  This is the one place a vertex relator is
 spelled: the cycle presentation, which the certificate and its lemmas
 read their relators from, is the Greene presentation of a cycle graph
 with its root relator kept.  Abelian invariants come from the integer Smith
-normal form of the exponent matrix, which cross-checks the Goeritz
-determinant of the same graph; the Smith form is one sparse elimination
-that pivots on a least entry.  Tietze simplification removes generators
-that occur once in a relator, shortest relator first.  It only ever sees
-the finite route's presentations, which have at most 7 generators: that
-route presents the family member its class names, in the checkerboard
-colouring with fewer regions (cli._finite_route).
+normal form of the exponent matrix.  That matrix is the Goeritz matrix of
+the same graph, so the determinant check compares two constructions of
+one matrix.  The Smith form, which also gives the Goeritz determinant, is
+one sparse elimination that pivots on a least entry.  Tietze
+simplification removes generators that occur once in a relator, shortest
+relator first.  It only ever sees the finite route's presentations, which
+have at most 7 generators: that route presents the family member its
+class names, in the checkerboard colouring with fewer regions
+(cli._finite_route).
 """
 
 from __future__ import annotations

@@ -142,9 +142,6 @@ class FreeWord:
     def symbols(self):
         return {s for s, _ in self.letters}
 
-    def count(self, sym):
-        return sum(1 for s, _ in self.letters if s == sym)
-
     def substitute(self, mapping):
         """Replace each generator in `mapping` by its word; others stay atomic."""
         out = []

@@ -566,6 +566,20 @@ def test_family2_chains_run_fast():
         assert best < 0.5, (line, best)
 
 
+def test_long_alternating_closure_runs_fast():
+    # 8,000 Goeritz rows and a determinant of 3,344 digits: the Smith form
+    # pivots on least entries, so entries stay small until the last pivots
+    text = "s1 s2^-1 " * 8000
+    best = inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        report, code = run_pipeline(text, canonical=True)
+        best = min(best, time.perf_counter() - t0)
+    assert (code, report["verdict"]["verdict"]) == (0, "NonLO_Alternating")
+    assert report["determinant"] == burau_determinant(parse_braid(text))
+    assert best < 2.0, best
+
+
 def test_dot_of_the_finite_route_is_the_presented_graph(tmp_path, capsys):
     dot = tmp_path / "graph.dot"
     assert main(["pipeline", "h s2^5", "--dot", str(dot), "--json", "--canonical"]) == 0
