@@ -145,6 +145,18 @@ def mirror(w, exchange=False):
     return BraidWord(tuple((g, -s) for g, s in w.letters), -w.fulltwist)
 
 
+def sl2_matrix(w):
+    """((a, b), (c, d)) = w under s1 -> [[1,1],[0,1]], s2 -> [[1,0],[-1,1]],
+    h -> -I; |2 - a - d| is the determinant of the closure."""
+    a, b, c, d = (-1, 0, 0, -1) if w.fulltwist % 2 else (1, 0, 0, 1)
+    for g, s in w.letters:      # each letter is one column operation
+        if g == 1:
+            b, d = b + s * a, d + s * c
+        else:
+            a, c = a - s * b, c - s * d
+    return (a, b), (c, d)
+
+
 # ---------------------------------------------------------------------------
 # Classification.
 # ---------------------------------------------------------------------------

@@ -9,14 +9,15 @@ from __future__ import annotations
 import json
 import sys
 import time
+from math import prod
 
 from .braid import (BraidError, NormalizationError, parse_braid, format_braid,
                     classify_baldwin, expand_fulltwist, exponent_sum, mirror,
                     normalize_type1_d1, normalize_type1_dm1, replay_moves,
-                    words_cyclically_equal, MAX_LETTERS)
+                    sl2_matrix, words_cyclically_equal, MAX_LETTERS)
 from .diagram import (DecoratedCycleGraph, DiagramError, closure_white_graph,
-                      cycle_graph_from_params, cycle_names, goeritz_matrix,
-                      graph_dot, is_alternating_closure, to_decorated)
+                      cycle_graph_from_params, cycle_names, graph_dot,
+                      is_alternating_closure, to_decorated)
 from .presentation import (AbelianInvariants, greene_presentation,
                            cycle_presentation, abelianize, tietze_simplify)
 from .ordercheck import (Exhausted, HypothesisNotMet, InfiniteGroup,
@@ -81,7 +82,7 @@ def run_pipeline(text, max_cosets=10 ** 6, canonical=False, cone_depth=None):
         elif cls.kind in (2, 3):
             code = _finite_route(report, w, cls, max_cosets, cone_depth)
         elif is_alternating_closure(cls):
-            _diagram_block(report, w)
+            _diagram_block(report, w, w)
             report["verdict"] = Verdict(
                 VERDICT_ALTERNATING,
                 "family (1) with d = 0 closes to an alternating diagram; "
@@ -100,31 +101,22 @@ def run_pipeline(text, max_cosets=10 ** 6, canonical=False, cone_depth=None):
     return report, code
 
 
-def _diagram_block(report, w):
-    """White graph, Goeritz determinant and abelianization of w: the input,
-    or on the finite route the word it presents.
-
-    Returns (Greene presentation, determinant, abelian invariants)."""
-    expanded = expand_fulltwist(w)
-    g = closure_white_graph(expanded)
-    det = goeritz_matrix(g).determinant()
+def _diagram_block(report, w, drawn):
+    """(white graph, Greene presentation, H1) of `drawn`, which closes to the
+    link of the input w.  The exponent matrix is the Goeritz matrix, so one
+    Smith form gives H1 and the determinant, |H1| or 0, checked against
+    |2 - tr| of w in SL2(Z), which shares no code with the diagram."""
+    g = closure_white_graph(expand_fulltwist(drawn))
     pres = greene_presentation(g)
     inv = abelianize(pres)
-    report["graph"] = g.to_json()
-    report["determinant"] = det
-    report["presentation"] = pres.to_json()
-    report["abelian"] = inv.to_json()
-    order = inv.order()
-    if order is not None and order != det:
-        raise SoundnessError("determinant %d != abelianization order %d"
-                             % (det, order))
-    if order is None and det != 0:
-        raise SoundnessError("free abelian rank with nonzero determinant")
-    if {gen for gen, _ in expanded.letters} != {1, 2}:
-        # one strand closes off disjointly; graph quantities describe the
-        # non-split part of the closure
-        report["split_closure"] = True
-    return pres, det, inv
+    det = inv.order() or 0
+    report.update(graph=g.to_json(), determinant=det, presentation=pres.to_json(),
+                  abelian=inv.to_json())
+    (a, _), (_, d) = sl2_matrix(w)
+    if det != abs(2 - a - d):
+        raise SoundnessError("determinant %d != |2 - trace| = %d of the input's "
+                             "SL2(Z) image" % (det, abs(2 - a - d)))
+    return g, pres, inv
 
 
 def _finite_route(report, w, cls, max_cosets, cone_depth=None):
@@ -151,7 +143,7 @@ def _finite_route(report, w, cls, max_cosets, cone_depth=None):
     exchange = s2(exchanged) < s2(member)
     presented = exchanged if exchange else member
     report["presented"] = {"word": format_braid(presented), "exchange": exchange}
-    greene, _, inv = _diagram_block(report, presented)
+    _, greene, inv = _diagram_block(report, w, presented)
     pres = tietze_simplify(greene)
     eps = infinite_witness(pres)
     if eps is not None:
@@ -188,34 +180,31 @@ def _finite_route(report, w, cls, max_cosets, cone_depth=None):
 
 
 def _cycle_route(report, w, cls):
-    _, det, inv = _diagram_block(report, w)
+    """Family (1), d = +-1: the transcript replays w to the normal form, whose
+    one graph serves the report, cycle form, presentation and certificate."""
     normalize = normalize_type1_d1 if cls.d == 1 else normalize_type1_dm1
     try:
         out = normalize(w)
     except NormalizationError as e:
         raise SoundnessError("normalization failed: %s" % e)
     report["normalization"] = out.to_json()
-    replayed = replay_moves(w, out.transcript)
-    if not words_cyclically_equal(replayed, out.word):
+    if not words_cyclically_equal(replay_moves(w, out.transcript), out.word):
         raise SoundnessError("transcript does not replay to the claimed word")
+    g, _, inv = _diagram_block(report, w, out.word)
     if out.kind == "torus":
-        return _torsion_route(report, [out.q], det, inv)
+        return _torsion_route(report, [out.q], inv)
     if out.kind == "connected_sum":
-        return _torsion_route(report, [out.q1, out.q2], det, inv)
+        return _torsion_route(report, [out.q1, out.q2], inv)
     dec = DecoratedCycleGraph(out.m, out.a, out.b)
-    graph2 = closure_white_graph(expand_fulltwist(out.word))
-    if to_decorated(graph2) != dec:
+    if to_decorated(g) != dec:
         raise SoundnessError("normalized word does not rebuild the cycle graph")
     report["decorated"] = dec.to_json()
     # the certificate is checked against the diagram the verdict is about
-    graph2 = cycle_names(graph2, dec.m)
-    pres = cycle_presentation(graph2)
+    g = cycle_names(g, dec.m)
+    pres = cycle_presentation(g)
     report["cycle_presentation"] = pres.to_json()
-    det2 = goeritz_matrix(graph2).determinant()
-    if det2 != det:
-        raise SoundnessError("normalization changed the diagram determinant")
     try:
-        cert = certify_cycle_non_lo(dec, graph2)
+        cert = certify_cycle_non_lo(dec, g)
     except HypothesisNotMet as e:
         report["verdict"] = Verdict(VERDICT_INCONCLUSIVE, str(e),
                                     machine_checked=False).to_json()
@@ -231,10 +220,8 @@ def _cycle_route(report, w, cls):
     return EXIT_OK
 
 
-def _torsion_route(report, factors, det, inv):
-    expected = 1
-    for q in factors:
-        expected *= abs(q)
+def _torsion_route(report, factors, inv):
+    det, expected = report["determinant"], prod(abs(q) for q in factors)
     if expected != det:
         raise SoundnessError("branch set %s has determinant %d, diagram says %d"
                              % (factors, expected, det))
@@ -447,8 +434,8 @@ def main(argv=None):
     p.add_argument("braid")
     p.add_argument("--json", action="store_true", help="canonical JSON output")
     p.add_argument("--dot", metavar="FILE",
-                   help="write the white graph as DOT: the input's, or on the "
-                        "finite route the presented word's")
+                   help="write the report's white graph as DOT: the input's, "
+                        "the presented word's or the normal form's")
     p.add_argument("--max-cosets", type=int, default=10 ** 6)
     p.add_argument("--depth", type=int, default=None,
                    help="also run the positive-cone search to this depth on "

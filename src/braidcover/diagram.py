@@ -374,16 +374,16 @@ def _reads_neg_roots_pos(g, v):
 class GoeritzMatrix:
     """rows[i] maps column j to the nonzero entry (i, j); labels name both.
 
-    The matrix presents H1 of the double branched cover (Gordon and
-    Litherland), so its Smith form gives the same invariants as the Greene
-    presentation's, whose exponent matrix it is."""
+    It presents H1 of the double branched cover (Gordon and Litherland) as
+    the Greene presentation's exponent matrix, whose Smith form the pipeline
+    reads the determinant off; this second construction serves tests."""
 
     def __init__(self, labels, rows):
         self.labels, self.rows = labels, rows
 
     def determinant(self):
         """|det|: the product of the Smith diagonal, 0 when it is short."""
-        diag = smith_normal_form(self.rows, len(self.labels))
+        diag = smith_normal_form(self.rows)
         return prod(diag) if len(diag) == len(self.labels) else 0
 
 

@@ -277,7 +277,7 @@ def subgroup_abelianization(p, rows):
                 if sign == 1:
                     c = rows[c][2 * i]
             relations.append({k: v for k, v in row.items() if v})
-    diag = smith_normal_form(relations, len(col))
+    diag = smith_normal_form(relations)
     return AbelianInvariants(tuple(d for d in diag if d > 1), len(col) - len(diag))
 
 

@@ -6,15 +6,14 @@ root generator is killed.  This is the one place a vertex relator is
 spelled: the cycle presentation, which the certificate and its lemmas
 read their relators from, is the Greene presentation of a cycle graph
 with its root relator kept.  Abelian invariants come from the integer Smith
-normal form of the exponent matrix.  That matrix is the Goeritz matrix of
-the same graph, so the determinant check compares two constructions of
-one matrix.  The Smith form, which also gives the Goeritz determinant, is
-one sparse elimination that pivots on a least entry.  Tietze
-simplification removes generators that occur once in a relator, shortest
-relator first.  It only ever sees the finite route's presentations, which
-have at most 7 generators: that route presents the family member its
-class names, in the checkerboard colouring with fewer regions
-(cli._finite_route).
+normal form of the exponent matrix, one sparse elimination that pivots on
+a least entry.  That matrix is the Goeritz matrix of the same graph, so
+the same Smith form gives the determinant, |H1| or 0 (cli._diagram_block).
+Tietze simplification removes generators that occur once in a relator,
+shortest relator first.  It only ever sees the finite route's
+presentations, which have at most 7 generators: that route presents the
+family member its class names, in the checkerboard colouring with fewer
+regions (cli._finite_route).
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ class AbelianInvariants(namedtuple("AbelianInvariants", "torsion rank")):
         return {"torsion": list(self.torsion), "rank": self.rank}
 
 
-def smith_normal_form(rows, ncols):
+def smith_normal_form(rows):
     """Nonzero diagonal of the Smith normal form of an integer matrix.
 
     Rows are dense integer sequences or {column: value} dicts.  One sparse
@@ -196,7 +195,7 @@ def abelianize(p):
             j = index[sym]
             row[j] = row.get(j, 0) + s
         rows.append(row)
-    diag = smith_normal_form(rows, len(gens))
+    diag = smith_normal_form(rows)
     torsion = tuple(d for d in diag if d > 1)
     return AbelianInvariants(torsion, len(gens) - len(diag))
 

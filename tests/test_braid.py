@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidcover import braid
 from braidcover.braid import (BaldwinClass, BraidError, BraidWord,
@@ -16,7 +16,7 @@ from braidcover.diagram import DecoratedCycleGraph
 from braidcover.presentation import AbelianInvariants, GroupPresentation
 from braidcover.rewrite import FreeWord
 
-from b3oracle import braids_equal, conjugacy_invariants
+from b3oracle import braids_equal, conjugacy_invariants, evaluate
 from support import (cyclic_conjugate, drop_later_rotations, normalize_type1,
                      reference_twist_search)
 
@@ -432,3 +432,14 @@ def test_words_cyclically_equal_matches_rotation(letters, conj, turn, spoil):
         other = BraidWord(inv + core[k:] + core[:k] + tuple(conj))
         want = True
     assert words_cyclically_equal(w, other) == want
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(LETTER, max_size=40), st.integers(min_value=-7, max_value=7))
+@example([S1, S2I] * 8000, 0)       # entries of about 3,300 digits
+@example([S2, S1I, S2], -3)         # an odd negative twist power gives -I
+def test_sl2_matrix_matches_the_oracle(letters, d):
+    w = BraidWord(tuple(letters), d)
+    m = braid.sl2_matrix(w)
+    assert m == evaluate(w)[1]
+    assert all(type(x) is int for row in m for x in row)

@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 import braidcover
 from braidcover.braid import (BraidWord, classify_baldwin, expand_fulltwist,
                               format_braid, parse_braid)
-from braidcover.cli import main, run_pipeline, run_batch, PipelineFailure
-from braidcover.diagram import (DecoratedCycleGraph, closure_white_graph,
-                                cycle_names, goeritz_matrix, graph_dot)
-from braidcover.ordercheck import (WITNESS_MAX_GENERATORS, todd_coxeter,
-                                   verify_certificate)
+from braidcover.cli import main, run_pipeline, run_batch, PipelineFailure, _diagram_block
+from braidcover.diagram import (CheckerboardGraph, DecoratedCycleGraph,
+                                closure_white_graph, cycle_names, goeritz_matrix,
+                                graph_dot)
+from braidcover.ordercheck import (WITNESS_MAX_GENERATORS, SoundnessError,
+                                   todd_coxeter, verify_certificate)
 from braidcover.presentation import (cycle_presentation, greene_presentation,
                                      tietze_simplify)
 from braidcover.rewrite import FreeWord, parse_word
@@ -240,15 +241,18 @@ CERTIFIED = {"verify_certificate": 1, "verify_lemma_left": 1, "left_elimination"
              "right_elimination": 0, "verify_lemma_right": 1,
              "verify_product_relation": 1, "left_rules": 1, "right_rules": 1,
              "check_rules": 2, "verify_lemma_y": 1}
-# a braid line builds the graph of its input and of its normal form, which
-# it certifies on; the recheck builds its parameters' graph once, and for
+# a braid line builds one graph, that of its normal form, which it reports,
+# presents and certifies on; one Smith form of its presentation gives H1 and
+# the determinant.  The recheck builds its parameters' graph once, and for
 # m = 1 also the graph of (2, a, b) that the lemmas read (rewrite.LEFT_X).
 # Every cycle graph gets one Greene presentation.
-FAMILY1 = dict(CERTIFIED, twist_search=2, classify_baldwin=2, expand_fulltwist=2,
-               greene_presentation=3, closure_white_graph=3, cycle_graph_from_params=1,
-               replay_moves=1)
+FAMILY1 = dict(CERTIFIED, twist_search=2, classify_baldwin=2, expand_fulltwist=1,
+               greene_presentation=3, closure_white_graph=2, cycle_graph_from_params=1,
+               replay_moves=1, smith_normal_form=1)
 # the finite route replays the class moves once and builds one graph, that of
-# the member or its exchange, never the input's
+# the member or its exchange, never the input's.  Besides the diagram's one
+# Smith form, it takes one per kernel infinite_witness abelianizes and one
+# for the |H| that todd_coxeter reads off its table.
 FINITE = {"twist_search": 1, "classify_baldwin": 1, "expand_fulltwist": 1,
           "greene_presentation": 1, "infinite_witness": 1, "todd_coxeter": 1,
           "closure_white_graph": 1, "replay_moves": 1, "mirror": 1,
@@ -260,11 +264,11 @@ COUNTED = tuple(FAMILY1) + ("infinite_witness", "todd_coxeter", "mirror",
 COUNT_TABLE = [
     ("h s1 s2^-2 s1 s2^-2", "NonLO_Certified", FAMILY1),
     ("h^-1 s1 s2^-1 s1 s2^-2", "NonLO_Certified",
-     dict(FAMILY1, greene_presentation=4, closure_white_graph=4, cycle_graph_from_params=2)),
-    ("h s2^4", "NonLO_FiniteGroup", FINITE),
-    ("h s1^-2 s2^-1", "NonLO_FiniteGroup", FINITE),
+     dict(FAMILY1, greene_presentation=4, closure_white_graph=3, cycle_graph_from_params=2)),
+    ("h s2^4", "NonLO_FiniteGroup", dict(FINITE, smith_normal_form=1 + 3 + 1)),
+    ("h s1^-2 s2^-1", "NonLO_FiniteGroup", dict(FINITE, smith_normal_form=1 + 1 + 1)),
     # the infinite dihedral group: proved infinite, never enumerated
-    ("h^-1 s2^2", "Inconclusive", dict(FINITE, todd_coxeter=0)),
+    ("h^-1 s2^2", "Inconclusive", dict(FINITE, todd_coxeter=0, smith_normal_form=1 + 1)),
     # the tuple's graph is built for the certificate, and again by the recheck
     ("(3; 1,1,1; 1,1)", "NonLO_Certified",
      dict(CERTIFIED, greene_presentation=2, closure_white_graph=2, cycle_graph_from_params=2)),
@@ -301,6 +305,39 @@ def test_batch_verifies_each_certificate_once(monkeypatch):
         assert calls == dict(dict.fromkeys(COUNTED, 0), **want), (line, calls)
 
 
+def test_a_tampered_graph_fails_the_determinant_check(monkeypatch):
+    # one edge sign flipped in the pipeline's graph: the determinant no
+    # longer matches the input's SL2(Z) trace, on every route that draws one
+    import braidcover.cli as cli
+
+    def flipped(w):
+        g = closure_white_graph(w)
+        (u, v, s), *rest = g.edges
+        return CheckerboardGraph(g.vertices, [(u, v, -s)] + rest, g.rotations, g.root)
+    monkeypatch.setattr(cli, "closure_white_graph", flipped)
+    for line, want in [("h s1 s2^-2 s1 s2^-2", "determinant 0 != |2 - trace| = 16"),
+                       ("h s2^4", "determinant 12 != |2 - trace| = 4"),
+                       ("s1 s2^-1 s1 s2^-2", "determinant 2 != |2 - trace| = 8")]:
+        report, code = run_pipeline(line, canonical=True)
+        assert code == 3, line
+        assert report["soundness_error"] == want + " of the input's SL2(Z) image"
+
+
+def test_split_closures_meet_the_trace_check():
+    # s2^k leaves the hub region isolated: determinant 0, as the trace says.
+    # s1^k closes as T(2,k) beside a loose strand, whose graph gives |k|
+    # against the split link's 0, so it is refused as unsound
+    for text in ("s2^3", "s2^-1"):
+        report = {}
+        w = parse_braid(text)
+        _diagram_block(report, w, w)
+        assert report["determinant"] == burau_determinant(w) == 0, text
+    for text, k in (("s1^3", 3), ("s1^-2", 2)):
+        w = parse_braid(text)
+        with pytest.raises(SoundnessError, match="determinant %d != " % k):
+            _diagram_block({}, w, w)
+
+
 def test_certificate_check_formats_no_words(monkeypatch):
     # a passing check compares words; it prints none of them
     for params in [(3, (2, 1, 2), (1, 2)), (1, (3, 4), (1,))]:
@@ -316,9 +353,13 @@ DOT_COUNTED = ("parse_braid", "expand_fulltwist", "closure_white_graph")
 
 
 def test_dot_reuses_the_pipeline_graph(monkeypatch, tmp_path, capsys):
+    # the cycle route draws its normal form, not the input
     dot = tmp_path / "graph.dot"
-    g = closure_white_graph(expand_fulltwist(parse_braid("h s1 s2^-1")))
-    want = graph_dot(g.to_json())
+    report, _ = run_pipeline("h s1 s2^-1", canonical=True)
+    graph = lambda text: closure_white_graph(expand_fulltwist(parse_braid(text))).to_json()
+    assert report["normalization"]["word"] == "s2 s1^5"
+    assert graph("s2 s1^5") != graph("h s1 s2^-1")
+    want = graph_dot(graph("s2 s1^5"))
     calls = count_calls(monkeypatch, DOT_COUNTED)
     assert main(["pipeline", "h s1 s2^-1", "--dot", str(dot), "--canonical"]) == 0
     assert calls == dict.fromkeys(DOT_COUNTED, 1)
