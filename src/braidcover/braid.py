@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .rewrite import FreeWord, least_rotation, reduce_letters, run_lengths
+from .rewrite import (FreeWord, expand_runs, least_rotation, reduce_letters,
+                      reduce_runs, run_lengths)
 
 
 class BraidError(Exception):
@@ -79,6 +80,14 @@ class BraidWord(namedtuple("BraidWord", "letters fulltwist")):
                 raise BraidError("bad letter %r" % ((g, s),))
         return super().__new__(cls, reduce_letters(letters), fulltwist)
 
+    @classmethod
+    def from_runs(cls, runs, fulltwist=0):
+        """The word of [(generator, signed exponent), ...] runs, reduced run
+        by run and built a run at a time."""
+        if any(g not in (1, 2) for g, _ in runs):
+            raise BraidError("bad generator in %r" % (runs,))
+        return super().__new__(cls, expand_runs(reduce_runs(runs)), fulltwist)
+
     def __len__(self):
         return len(self.letters)
 
@@ -111,8 +120,7 @@ def parse_braid(text):
     size = sum(abs(k) for _, k in runs) + 6 * abs(d)
     if size > MAX_LETTERS:
         raise BraidError("word expands to %d letters, more than %d" % (size, MAX_LETTERS))
-    letters = [(g, 1 if k > 0 else -1) for g, k in runs for _ in range(abs(k))]
-    return BraidWord(tuple(letters), d)
+    return BraidWord.from_runs(runs, d)
 
 
 def format_braid(w):
@@ -129,8 +137,10 @@ def format_braid(w):
 def expand_fulltwist(w):
     """Replace each symbolic h by (s2 s1)^3 (inverse for negative powers)."""
     d = w.fulltwist
-    block = TWIST_POS[0] if d >= 0 else TWIST_NEG[0]
-    return BraidWord(block * abs(d) + w.letters, 0)
+    if not d:
+        return w
+    block = TWIST_POS[0] if d > 0 else TWIST_NEG[0]
+    return BraidWord.from_runs(run_lengths(block * abs(d) + w.letters))
 
 
 def exponent_sum(w):
@@ -149,11 +159,11 @@ def sl2_matrix(w):
     """((a, b), (c, d)) = w under s1 -> [[1,1],[0,1]], s2 -> [[1,0],[-1,1]],
     h -> -I; |2 - a - d| is the determinant of the closure."""
     a, b, c, d = (-1, 0, 0, -1) if w.fulltwist % 2 else (1, 0, 0, 1)
-    for g, s in w.letters:      # each letter is one column operation
+    for g, k in run_lengths(w.letters):     # each run is one column operation
         if g == 1:
-            b, d = b + s * a, d + s * c
+            b, d = b + k * a, d + k * c
         else:
-            a, c = a - s * b, c - s * d
+            a, c = a - k * b, c - k * d
     return (a, b), (c, d)
 
 
@@ -399,15 +409,15 @@ def replay_moves(w, moves):
         if got != want:
             raise NormalizationError("exponent sum broken by %r" % (move,))
         exp = got
-    return BraidWord(reduce_letters(state[0]), state[1])
+    return BraidWord.from_runs(run_lengths(state[0]), state[1])
 
 
 def words_cyclically_equal(w1, w2):
     """Equal up to free reduction and rotation (same fulltwist)."""
     if w1.fulltwist != w2.fulltwist:
         return False
-    a = _encode(FreeWord(w1.letters).cyclic_reduce().letters)
-    b = _encode(FreeWord(w2.letters).cyclic_reduce().letters)
+    a = _encode(FreeWord._reduced(w1.letters).cyclic_reduce().letters)
+    b = _encode(FreeWord._reduced(w2.letters).cyclic_reduce().letters)
     return len(a) == len(b) and b in a + a
 
 

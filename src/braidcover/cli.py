@@ -11,8 +11,8 @@ import sys
 import time
 from math import prod
 
-from .braid import (BraidError, NormalizationError, parse_braid, format_braid,
-                    classify_baldwin, expand_fulltwist, exponent_sum, mirror,
+from .braid import (BraidError, BraidWord, NormalizationError, parse_braid,
+                    format_braid, classify_baldwin, expand_fulltwist, exponent_sum,
                     normalize_type1_d1, normalize_type1_dm1, replay_moves,
                     sl2_matrix, words_cyclically_equal, MAX_LETTERS)
 from .diagram import (DecoratedCycleGraph, DiagramError, closure_white_graph,
@@ -124,24 +124,24 @@ def _finite_route(report, w, cls, max_cosets, cone_depth=None):
     colouring with fewer regions, and decide its group.
 
     The class moves, replayed from w, must reach the member h^d s2^m or
-    h^d s2^-1 s1^m.  Of it and its s1 <-> s2 exchange (conjugates, so one
-    closure) the one with fewer s2 letters is presented, the member on a
-    tie: at most 7 generators, whatever w is, and Tietze only removes
-    some.  Each of their at most 2^7 - 1 maps onto Z/2 is tried: a kernel
-    with infinite abelianization, of index 2, proves the group infinite
+    h^d s2^-1 s1^m, built from the class a run at a time.  Of it and its
+    s1 <-> s2 exchange (conjugates, so one closure) the one with fewer s2
+    letters is presented, the member on a tie: the exchange h^d s1^m for
+    family (2) with m != 0, else the member.  That is at most 7
+    generators, whatever w is, and Tietze only removes some.  Each of
+    their at most 2^7 - 1 maps onto Z/2 is tried: a kernel with infinite
+    abelianization, of index 2, proves the group infinite
     (inconclusive).  Else the cosets of a cyclic H are enumerated and |H|
     read off the closed table.  A cap hit or an infinite H is inconclusive.
     The positive-cone search enumerates the trivial subgroup itself, as it
     needs the regular action.
     """
-    member = parse_braid(("h^%d s2^%d" if cls.kind == 2 else "h^%d s2^-1 s1^%d")
-                         % (cls.d, cls.m))
+    member = BraidWord.from_runs([(2, cls.m)] if cls.kind == 2 else [(2, -1), (1, cls.m)],
+                                 cls.d)
     if not words_cyclically_equal(replay_moves(w, cls.moves), member):
         raise SoundnessError("the class moves do not replay to %s" % format_braid(member))
-    exchanged = mirror(member, exchange=True)
-    s2 = lambda v: sum(g == 2 for g, _ in v.letters)
-    exchange = s2(exchanged) < s2(member)
-    presented = exchanged if exchange else member
+    exchange = cls.kind == 2 and cls.m != 0
+    presented = BraidWord.from_runs([(1, cls.m)], cls.d) if exchange else member
     report["presented"] = {"word": format_braid(presented), "exchange": exchange}
     _, greene, inv = _diagram_block(report, w, presented)
     pres = tietze_simplify(greene)

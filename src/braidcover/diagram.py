@@ -12,6 +12,14 @@ cycle graph (m; a; b) is the white graph of the closure of its word
 s2^m s1^{a0} s2^{-b1} ... s2^{-bn} s1^{an}, so one function fixes the
 rotation convention for both.
 
+The graph is drawn a run at a time.  A run of k equal s1 letters is one
+hub edge of multiplicity k, that is k parallel crossings, which bound
+k - 1 bigon faces; an edge's weight is its sign times its multiplicity,
+which is the Goeritz entry of the k crossings and the exponent of the
+Greene factor they give.  A run of s2 letters stays one band segment per
+crossing.  `to_json` lists one edge per crossing, as a letter-by-letter
+drawing would.
+
 Edge signs are calibrated so that the closure of
 s2^3 s1 s2^-1 s1 s2^-1 s1 carries negative signs exactly on the
 s2-positive path, which pins the convention for every other word.
@@ -22,9 +30,9 @@ from __future__ import annotations
 from collections import namedtuple
 from math import prod
 
-from .braid import BraidWord, reduce_letters
+from .braid import BraidWord
 from .presentation import smith_normal_form
-from .rewrite import prefix_sums
+from .rewrite import prefix_sums, run_lengths
 
 
 class DiagramError(Exception):
@@ -39,16 +47,18 @@ class ShapeMismatch(DiagramError):
     pass
 
 
-def edge_sign(gen, sign):
-    """Goeritz sign of a crossing: +1 for s1, -1 for s2, times the letter sign."""
-    return sign if gen == 1 else -sign
+def edge_sign(gen, exp):
+    """Goeritz weight of a run gen^exp: +1 for s1, -1 for s2, times exp."""
+    return exp if gen == 1 else -exp
 
 
 class CheckerboardGraph:
-    """Signed rooted multigraph with a rotation system.
+    """Weighted rooted multigraph with a rotation system.
 
-    edges[i] = (u, v, sign); rotations[v] lists the edge ends (i, end)
-    incident to v in reading order around the vertex, end 0 at u and 1 at v.
+    edges[i] = (u, v, weight): |weight| parallel crossings of the weight's
+    sign, one edge end at each of u and v; rotations[v] lists the edge ends
+    (i, end) incident to v in reading order around the vertex, end 0 at u
+    and 1 at v.
     """
 
     def __init__(self, vertices, edges, rotations, root):
@@ -85,7 +95,9 @@ class CheckerboardGraph:
         return len({find(v) for v in self.vertices})
 
     def face_count(self):
-        """Faces of the embedded map: orbits of next-end after crossing over.
+        """Faces of the embedded map: orbits of next-end after crossing over,
+        plus the k - 1 bigons between the crossings of each edge of
+        multiplicity k.
 
         Each orbit is walked once, from the first of its ends in the order
         of `rotations`, so every edge end is visited once."""
@@ -105,19 +117,22 @@ class CheckerboardGraph:
                 v, j = pos[(i, 1 - end)]
                 ends = self.rotations[v]
                 e = ends[(j + 1) % len(ends)]
-        return faces
+        return faces + sum(abs(w) - 1 for _, _, w in self.edges)
 
     def euler_check(self):
-        """Per-component V - E + F == 2; isolated vertices carry no faces."""
+        """Per-component V - E + F == 2, E counting crossings; isolated
+        vertices carry no faces."""
         v = len(self.vertices)
-        e = len(self.edges)
+        e = sum(abs(w) for _, _, w in self.edges)
         c0 = sum(1 for x in self.vertices if not self.rotations.get(x))
         ce = self.components() - c0
         return v - e + self.face_count() == 2 * ce + c0
 
     def to_json(self):
+        """One signed edge per crossing."""
         return {"vertices": list(self.vertices),
-                "edges": [[u, v, s] for u, v, s in self.edges],
+                "edges": [[u, v, 1 if w > 0 else -1] for u, v, w in self.edges
+                          for _ in range(abs(w))],
                 "root": self.root}
 
 
@@ -135,18 +150,20 @@ def graph_dot(data):
 
 
 def closure_white_graph(w):
-    """White graph of the closure of a freely reduced, twist-free word.
+    """White graph of the closure of a twist-free BraidWord, whose letters
+    are freely reduced.
 
-    One pass over the letters: the s2 crossings seen so far name the band
+    One pass over the runs: the s2 crossings seen so far name the band
     segment of each crossing, and the ends that come before the first s2
-    belong to the last segment, after its own.
+    belong to the last segment, after its own.  A run of s1 letters is one
+    hub edge whose weight is the run's exponent.
     """
     if w.fulltwist:
         raise DiagramError("expand the full twist first")
-    letters = reduce_letters(w.letters)
-    if not letters:
+    runs = run_lengths(w.letters)
+    if not runs:
         raise DegenerateDiagram("empty word has no crossings")
-    nseg = max(sum(1 for g, _ in letters if g == 2), 1)
+    nseg = max(sum(abs(k) for g, k in runs if g == 2), 1)
     segs = ["w%d" % j for j in range(nseg)]
     root = "r"
     edges = []
@@ -154,24 +171,25 @@ def closure_white_graph(w):
     wrapped = []      # the last segment's ends before the first s2
     hub_ends = []
     seen = 0          # s2 crossings so far
-    for g, s in letters:
-        idx = len(edges)
-        j = (seen - 1) % nseg               # the segment this crossing is in
-        ends = seg_ends[j] if seen else wrapped
-        if g == 2:      # ends segment j and starts the next one
-            edges.append((segs[j], segs[seen], edge_sign(g, s)))
-            ends.append((idx, 0))
-            seg_ends[seen].append((idx, 1))
-            seen += 1
-        else:
-            edges.append((root, segs[j], edge_sign(g, s)))
-            ends.append((idx, 1))
-            hub_ends.append((idx, 0))
+    for g, k in runs:
+        if g == 2:      # each crossing ends segment j and starts the next one
+            sign = edge_sign(g, 1 if k > 0 else -1)
+            for _ in range(abs(k)):
+                j = (seen - 1) % nseg
+                (seg_ends[j] if seen else wrapped).append((len(edges), 0))
+                seg_ends[seen].append((len(edges), 1))
+                edges.append((segs[j], segs[seen], sign))
+                seen += 1
+        else:           # k parallel crossings in the segment the run is in
+            j = (seen - 1) % nseg
+            (seg_ends[j] if seen else wrapped).append((len(edges), 1))
+            hub_ends.append((len(edges), 0))
+            edges.append((root, segs[j], edge_sign(g, k)))
     seg_ends[-1].extend(wrapped)
     rotations = {seg: tuple(ends) for seg, ends in zip(segs, seg_ends)}
     rotations[root] = tuple(reversed(hub_ends))
     g = CheckerboardGraph(tuple(segs + [root]), tuple(edges), rotations, root)
-    assert len(g.edges) == len(letters)
+    assert sum(abs(x) for _, _, x in g.edges) == len(w.letters)
     assert g.euler_check()
     return g
 
@@ -212,10 +230,10 @@ def cycle_graph_from_params(m, a, b):
     """White graph of the closure of s2^m s1^{a0} s2^{-b1} ... s1^{an},
     with the regions named after the cycle-form generators (cycle_names)."""
     d = DecoratedCycleGraph(m, a, b)
-    letters = [(2, 1)] * d.m + [(1, 1)] * d.a[0]
+    runs = [(2, d.m), (1, d.a[0])]
     for bk, ak in zip(d.b, d.a[1:]):
-        letters += [(2, -1)] * bk + [(1, 1)] * ak
-    return cycle_names(closure_white_graph(BraidWord(letters)), d.m)
+        runs += [(2, -bk), (1, ak)]
+    return cycle_names(closure_white_graph(BraidWord.from_runs(runs)), d.m)
 
 
 def cycle_names(g, m):
@@ -246,10 +264,10 @@ def to_decorated(g):
         if root in (u, v):
             if u == v:
                 raise ShapeMismatch("loop at the root")
-            if s != 1:
+            if s < 1:
                 raise ShapeMismatch("negative root edge")
             other = v if u == root else u
-            mult[other] = mult.get(other, 0) + 1
+            mult[other] = mult.get(other, 0) + s
     cyc_edges = [(i, e) for i, e in enumerate(g.edges) if root not in e[:2]]
     rest = [v for v in g.vertices if v != root]
     deg = {v: 0 for v in rest}

@@ -244,6 +244,14 @@ def subgroup_abelianization(p, rows):
     otherwise has a column.  Each relator rewritten from each coset gives
     a relation row of exponent sums (Reidemeister-Schreier), and the Smith
     form of those rows gives H^ab.
+
+    Relators are rewritten a syllable at a time.  From coset c, g^e walks
+    the cycle of g's permutation through c: letter t of g^e reads the
+    Schreier generator at the coset t steps along it (one step back first,
+    for a negative e), so with the cycle's length L, the first e mod L
+    cosets are read floor(|e| / L) + 1 times and the others floor(|e| / L)
+    times, and g^e ends at the coset e steps along.  A syllable costs at
+    most L steps, however large e is.
     """
     ngens = len(p.generators)
     seen = {0}
@@ -261,21 +269,36 @@ def subgroup_abelianization(p, rows):
         for i in range(ngens):
             if (c, i) not in tree:
                 col[c, i] = len(col)
+    place = []          # place[i][c] = (cycle of generator i through c, c's position)
+    for i in range(ngens):
+        at = [None] * len(rows)
+        for c in range(len(rows)):
+            if at[c] is None:
+                cycle = [c]
+                while (x := rows[cycle[-1]][2 * i]) != c:
+                    if len(cycle) == len(rows):
+                        raise ValueError("column %d of the table is no permutation" % (2 * i))
+                    cycle.append(x)
+                for pos, x in enumerate(cycle):
+                    at[x] = (cycle, pos)
+        place.append(at)
     gen = {g: i for i, g in enumerate(p.generators)}
     relations = []
     for r in p.relators:
+        syllables = [(gen[sym], e) for sym, e in r.pairs()]
         for start in range(len(rows)):
             c = start
             row = {}
-            for sym, sign in r.letters:
-                i = gen[sym]
-                if sign == -1:
-                    c = rows[c][2 * i + 1]
-                k = col.get((c, i))
-                if k is not None:
-                    row[k] = row.get(k, 0) + sign
-                if sign == 1:
-                    c = rows[c][2 * i]
+            for i, e in syllables:
+                cycle, pos = place[i][c]
+                size = len(cycle)
+                laps, extra = divmod(abs(e), size)
+                step, first = (1, pos) if e > 0 else (-1, pos - 1)
+                for t in range(min(abs(e), size)):
+                    k = col.get((cycle[(first + step * t) % size], i))
+                    if k is not None:
+                        row[k] = row.get(k, 0) + step * (laps + (t < extra))
+                c = cycle[(pos + e) % size]
             relations.append({k: v for k, v in row.items() if v})
     diag = smith_normal_form(relations)
     return AbelianInvariants(tuple(d for d in diag if d > 1), len(col) - len(diag))
@@ -418,8 +441,8 @@ def _mixed_sign_vertices(g):
     for v in g.vertices:
         signs = set()
         for i, end in g.rotations[v]:
-            signs.add(g.edges[i][2])
-        if signs == {1, -1}:
+            signs.add(g.edges[i][2] > 0)
+        if signs == {True, False}:
             out.add(v)
     return out
 

@@ -1,8 +1,8 @@
-"""Group presentations read off rooted signed white graphs.
+"""Group presentations read off rooted weighted white graphs.
 
 One generator per white region; at each vertex the relator multiplies
-(x_j^-1 x_i)^sign over the incident edge ends in rotation order, and the
-root generator is killed.  This is the one place a vertex relator is
+(x_j^-1 x_i)^weight over the incident edge ends in rotation order, and
+the root generator is killed.  This is the one place a vertex relator is
 spelled: the cycle presentation, which the certificate and its lemmas
 read their relators from, is the Greene presentation of a cycle graph
 with its root relator kept.  Abelian invariants come from the integer Smith
@@ -47,23 +47,28 @@ class GroupPresentation(namedtuple("GroupPresentation", "generators relators")):
 def greene_presentation(g, keep_root=False):
     """Presentation of the branched double cover group from a white graph.
 
-    The root generator is killed: its letters are left out of every
-    relator, which is then freely reduced once.  One relator per generator,
-    in the order of g.vertices.  The root vertex relator is redundant (the
-    vertex relations have one global dependency); it is built only when
-    keep_root is set, and then comes last.
+    Each edge end at v gives one factor (other^-1 v)^k, k the edge's
+    weight, written as syllables.  The root generator is killed: its
+    syllables are left out, so a factor at the root's edge is v^k (or
+    other^-k at the root), and each relator is freely reduced once,
+    syllable by syllable.  One relator per generator, in the order of
+    g.vertices.  The root vertex relator is redundant (the vertex
+    relations have one global dependency); it is built only when keep_root
+    is set, and then comes last.
     """
     gens = tuple(v for v in g.vertices if v != g.root)
     rels = []
     for v in gens + (g.root,) * keep_root:
-        letters = []
+        syllables = []
         for i, end in g.rotations[v]:
-            a, b, s = g.edges[i]
+            a, b, k = g.edges[i]
             other = b if end == 0 else a
-            # (other^-1 v)^s
-            pair = ((other, -1), (v, 1)) if s > 0 else ((v, -1), (other, 1))
-            letters.extend(pair * abs(s))
-        rels.append(FreeWord([x for x in letters if x[0] != g.root]))
+            factor = ((other, -1), (v, 1)) if k > 0 else ((v, -1), (other, 1))
+            if g.root in (v, other):
+                syllables += [(x, e * abs(k)) for x, e in factor if x != g.root]
+            else:
+                syllables += factor * abs(k)
+        rels.append(FreeWord.from_pairs(syllables))
     return GroupPresentation(gens, tuple(rels))
 
 
@@ -191,9 +196,9 @@ def abelianize(p):
     rows = []
     for r in p.relators:
         row = {}
-        for sym, s in r.letters:
+        for sym, e in r.pairs():
             j = index[sym]
-            row[j] = row.get(j, 0) + s
+            row[j] = row.get(j, 0) + e
         rows.append(row)
     diag = smith_normal_form(rows)
     torsion = tuple(d for d in diag if d > 1)
@@ -234,8 +239,8 @@ def _tietze_entry(r):
     """(sort key, relator, least generator occurring once in it or None,
     occurrence counts of its generators)."""
     counts = {}
-    for sym, _ in r.letters:
-        counts[sym] = counts.get(sym, 0) + 1
+    for sym, e in r.pairs():
+        counts[sym] = counts.get(sym, 0) + abs(e)
     once = [sym for sym, c in counts.items() if c == 1]
     return (len(r), str(r)), r, min(once) if once else None, counts
 

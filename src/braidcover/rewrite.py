@@ -68,12 +68,38 @@ def least_rotation(seq):
 def run_lengths(letters):
     """Run-length encoding [(generator, signed length), ...] of letters."""
     out = []
-    for sym, sign in letters:
-        if out and out[-1][0] == sym and out[-1][1] * sign > 0:
-            out[-1][1] += sign
+    last, k = None, 0
+    for x in letters:
+        if x == last:
+            k += 1
         else:
-            out.append([sym, sign])
-    return [(s, e) for s, e in out]
+            if k:
+                out.append((last[0], last[1] * k))
+            last, k = x, 1
+    if k:
+        out.append((last[0], last[1] * k))
+    return out
+
+
+def reduce_runs(runs):
+    """Free reduction of [(generator, signed exponent), ...] syllables:
+    neighbouring syllables of one generator add up, and a zero drops out,
+    so the cost is one step per syllable, not per letter."""
+    out = []
+    for sym, exp in runs:
+        if out and out[-1][0] == sym:
+            exp += out.pop()[1]
+        if exp:
+            out.append((sym, exp))
+    return out
+
+
+def expand_runs(runs):
+    """The letter tuple of [(generator, signed exponent), ...] syllables."""
+    letters = []
+    for sym, exp in runs:
+        letters += ((sym, 1 if exp > 0 else -1),) * abs(exp)
+    return tuple(letters)
 
 
 class FreeWord:
@@ -97,12 +123,9 @@ class FreeWord:
 
     @staticmethod
     def from_pairs(pairs):
-        """Build from run-length [(sym, exp), ...] pairs."""
-        letters = []
-        for sym, exp in pairs:
-            sign = 1 if exp > 0 else -1
-            letters.extend([(sym, sign)] * abs(exp))
-        return FreeWord(letters)
+        """Build from run-length [(sym, exp), ...] pairs, reduced syllable by
+        syllable."""
+        return FreeWord._reduced(expand_runs(reduce_runs(pairs)))
 
     def pairs(self):
         """Run-length encode back to [(sym, exp), ...]."""

@@ -6,9 +6,10 @@ map and certificate of a parameter tuple, and the references the faster
 code must reproduce: the cycle graph's vertex relators written out by
 formula, the telescope words by elimination, the letter-tuple twist
 search, the face walk that started each face at the least unvisited
-edge end and the index-2 witness search over a GF(2) basis; and the
-finite route's presentation of a braid line and the benchmark's workload
-lines."""
+edge end, the index-2 witness search over a GF(2) basis, the white graph
+drawn one edge per crossing and the Reidemeister-Schreier rewrite one
+letter at a time; and the finite route's presentation of a braid line
+and the benchmark's workload lines."""
 
 import itertools
 import os
@@ -21,11 +22,14 @@ from braidcover.braid import (BraidError, BraidWord, NormalizationError,
                               expand_fulltwist, normalize_type1_d1,
                               normalize_type1_dm1, parse_braid)
 from braidcover.cli import run_pipeline
-from braidcover.diagram import closure_white_graph, cycle_graph_from_params
+from braidcover.diagram import (CheckerboardGraph, DegenerateDiagram,
+                                DiagramError, closure_white_graph,
+                                cycle_graph_from_params, edge_sign)
 from braidcover.ordercheck import (arc_relators, certify_cycle_non_lo,
                                    subgroup_abelianization)
-from braidcover.presentation import (GroupPresentation, cycle_presentation,
-                                     greene_presentation, tietze_simplify)
+from braidcover.presentation import (AbelianInvariants, GroupPresentation,
+                                     cycle_presentation, greene_presentation,
+                                     smith_normal_form, tietze_simplify)
 from braidcover.rewrite import (FreeWord, prefix_sums, reduce_letters,
                                 solve_relation, x_sym)
 
@@ -443,3 +447,79 @@ def workload_lines():
     return sorted({op.line for name in ("ladder", "finite", "mix", "twisted")
                    for seed in (1, 2) for op in workloads.generate(name, seed)
                    if op.word is not None})
+
+
+def reference_closure_white_graph(w):
+    """closure_white_graph as it was drawn one edge per crossing: a run of
+    k s1 letters gives k parallel hub edges of weight +-1."""
+    if w.fulltwist:
+        raise DiagramError("expand the full twist first")
+    letters = reduce_letters(w.letters)
+    if not letters:
+        raise DegenerateDiagram("empty word has no crossings")
+    nseg = max(sum(1 for g, _ in letters if g == 2), 1)
+    segs = ["w%d" % j for j in range(nseg)]
+    root = "r"
+    edges = []
+    seg_ends = [[] for _ in range(nseg)]
+    wrapped = []
+    hub_ends = []
+    seen = 0
+    for g, s in letters:
+        idx = len(edges)
+        j = (seen - 1) % nseg
+        ends = seg_ends[j] if seen else wrapped
+        if g == 2:
+            edges.append((segs[j], segs[seen], edge_sign(g, s)))
+            ends.append((idx, 0))
+            seg_ends[seen].append((idx, 1))
+            seen += 1
+        else:
+            edges.append((root, segs[j], edge_sign(g, s)))
+            ends.append((idx, 1))
+            hub_ends.append((idx, 0))
+    seg_ends[-1].extend(wrapped)
+    rotations = {seg: tuple(ends) for seg, ends in zip(segs, seg_ends)}
+    rotations[root] = tuple(reversed(hub_ends))
+    g = CheckerboardGraph(tuple(segs + [root]), tuple(edges), rotations, root)
+    assert g.euler_check()
+    return g
+
+
+def reference_subgroup_abelianization(p, rows):
+    """subgroup_abelianization as it rewrote each relator one letter at a
+    time from each coset."""
+    ngens = len(p.generators)
+    seen = {0}
+    tree = set()
+    queue = [0]
+    for c in queue:
+        for x in range(2 * ngens):
+            e = rows[c][x]
+            if e not in seen:
+                seen.add(e)
+                queue.append(e)
+                tree.add((c, x >> 1) if x & 1 == 0 else (e, x >> 1))
+    col = {}
+    for c in range(len(rows)):
+        for i in range(ngens):
+            if (c, i) not in tree:
+                col[c, i] = len(col)
+    gen = {g: i for i, g in enumerate(p.generators)}
+    relations = []
+    for r in p.relators:
+        for start in range(len(rows)):
+            c = start
+            row = {}
+            for sym, sign in r.letters:
+                i = gen[sym]
+                if sign == -1:
+                    c = rows[c][2 * i + 1]
+                k = col.get((c, i))
+                if k is not None:
+                    row[k] = row.get(k, 0) + sign
+                if sign == 1:
+                    c = rows[c][2 * i]
+            relations.append({k: v for k, v in row.items() if v})
+    diag = smith_normal_form(relations)
+    return AbelianInvariants(tuple(d for d in diag if d > 1), len(col) - len(diag))

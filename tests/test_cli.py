@@ -248,14 +248,15 @@ CERTIFIED = {"verify_certificate": 1, "verify_lemma_left": 1, "left_elimination"
 # Every cycle graph gets one Greene presentation.
 FAMILY1 = dict(CERTIFIED, twist_search=2, classify_baldwin=2, expand_fulltwist=1,
                greene_presentation=3, closure_white_graph=2, cycle_graph_from_params=1,
-               replay_moves=1, smith_normal_form=1)
+               replay_moves=1, smith_normal_form=1, parse_braid=1)
 # the finite route replays the class moves once and builds one graph, that of
-# the member or its exchange, never the input's.  Besides the diagram's one
-# Smith form, it takes one per kernel infinite_witness abelianizes and one
-# for the |H| that todd_coxeter reads off its table.
+# the member or its exchange, never the input's; it builds both words from
+# the class, so it parses only the input and mirrors nothing.  Besides the
+# diagram's one Smith form, it takes one per kernel infinite_witness
+# abelianizes and one for the |H| that todd_coxeter reads off its table.
 FINITE = {"twist_search": 1, "classify_baldwin": 1, "expand_fulltwist": 1,
           "greene_presentation": 1, "infinite_witness": 1, "todd_coxeter": 1,
-          "closure_white_graph": 1, "replay_moves": 1, "mirror": 1,
+          "closure_white_graph": 1, "replay_moves": 1, "parse_braid": 1,
           "tietze_simplify": 1}
 COUNTED = tuple(FAMILY1) + ("infinite_witness", "todd_coxeter", "mirror",
                             "tietze_simplify")
@@ -282,14 +283,16 @@ def test_batch_contains_a_crash_to_its_line(monkeypatch):
         raise RuntimeError("boom")
     monkeypatch.setattr(cli, "tietze_simplify", crash)   # finite route only
     lines = ["h s1 s2^-2 s1 s2^-2", "h s2^4", "(3; 1,1,1; 1,1)"]
-    results, counts = run_batch(lines, workers=1)
-    assert [r["input"] for r in results] == lines
-    assert results[0]["verdict"]["verdict"] == "NonLO_Certified"
-    assert results[1] == {"input": "h s2^4", "error":
-                          "internal error: RuntimeError in crash: boom"}
-    assert results[2]["verdict"] == "NonLO_Certified"
-    assert counts == {"ok": 2, "inconclusive": 0, "hypothesis_not_met": 0,
-                      "input_error": 0, "soundness_failure": 1}
+    # the fanned-out workers are forked after the patch, so they crash too
+    for workers in (1, 2):
+        results, counts = run_batch(lines, workers=workers)
+        assert [r["input"] for r in results] == lines
+        assert results[0]["verdict"]["verdict"] == "NonLO_Certified"
+        assert results[1] == {"input": "h s2^4", "error":
+                              "internal error: RuntimeError in crash: boom"}
+        assert results[2]["verdict"] == "NonLO_Certified"
+        assert counts == {"ok": 2, "inconclusive": 0, "hypothesis_not_met": 0,
+                          "input_error": 0, "soundness_failure": 1}
 
 
 def test_batch_verifies_each_certificate_once(monkeypatch):
@@ -604,6 +607,20 @@ def test_family2_chains_run_fast():
             report, code = run_pipeline(line, canonical=True)
             best = min(best, time.perf_counter() - t0)
         assert (code, report["group_order"]) == (0, 16008), line
+        assert best < 0.5, (line, best)
+
+
+def test_family2_long_runs_run_fast():
+    # the member is built, drawn and rewritten a run at a time, so |m| = 10^5
+    # takes about 0.25 s (best of 3 on a 2-core host); the bound is twice that
+    for line in ("h s2^100000", "h^-1 s2^-100000"):
+        best = inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            report, code = run_pipeline(line, canonical=True)
+            best = min(best, time.perf_counter() - t0)
+        assert (code, report["verdict"]["verdict"]) == (0, "NonLO_FiniteGroup"), line
+        assert report["group_order"] == 400008 == 4 * abs(100000 + 2), line
         assert best < 0.5, (line, best)
 
 

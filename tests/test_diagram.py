@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidcover.braid import parse_braid, expand_fulltwist, mirror, BraidWord
 from braidcover.diagram import (CheckerboardGraph, DecoratedCycleGraph,
@@ -13,7 +14,8 @@ from braidcover.diagram import (CheckerboardGraph, DecoratedCycleGraph,
 from braidcover.braid import classify_baldwin
 from braidcover.presentation import greene_presentation, abelianize
 
-from support import (graphs_isomorphic, leibniz_det, reference_face_count,
+from support import (graphs_isomorphic, leibniz_det,
+                     reference_closure_white_graph, reference_face_count,
                      workload_lines)
 
 
@@ -43,7 +45,8 @@ def test_edge_count_is_crossing_count():
         if not w.letters:
             continue
         g = closure_white_graph(w)
-        assert len(g.edges) == len(w.letters)
+        assert sum(abs(k) for _, _, k in g.edges) == len(w.letters)
+        assert len(g.to_json()["edges"]) == len(w.letters)
         assert g.euler_check()
 
 
@@ -150,11 +153,49 @@ def test_normalized_braid_rebuilds_cycle_graph():
 
 
 def test_face_count_matches_the_reference_on_the_workloads():
+    # the reference walk visits every face of a graph drawn one edge per
+    # crossing; the weighted graph walks fewer and adds its bigons
     lines = workload_lines()
     assert len(lines) > 2000
     for line in lines:
-        g = graph_of(line)
-        assert g.face_count() == reference_face_count(g), line
+        w = expand_fulltwist(parse_braid(line))
+        g = closure_white_graph(w)
+        assert g.face_count() == reference_face_count(reference_closure_white_graph(w)), line
+
+
+RUN = st.tuples(st.sampled_from((1, 2)),
+                st.integers(1, 1000) | st.integers(1, 3),
+                st.sampled_from((1, -1)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(RUN, min_size=1, max_size=8), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+def test_weighted_graph_matches_the_graph_drawn_per_crossing(runs, d):
+    # runs of up to 10^3 letters, behind h^d: an s1 run is one weighted hub
+    # edge, and everything read off the graph is as if it were k edges
+    w = expand_fulltwist(BraidWord.from_runs([(g, k * s) for g, k, s in runs], d))
+    g, ref = closure_white_graph(w), reference_closure_white_graph(w)
+    assert g.euler_check()
+    assert g.face_count() == ref.face_count()
+    assert g.to_json() == ref.to_json()
+    assert greene_presentation(g) == greene_presentation(ref)
+    assert greene_presentation(g, keep_root=True) == greene_presentation(ref, keep_root=True)
+    assert goeritz_matrix(g).rows == goeritz_matrix(ref).rows
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 1000), st.lists(st.integers(1, 1000), min_size=1, max_size=4),
+       st.lists(st.integers(1, 1000), min_size=3, max_size=3))
+def test_weighted_cycle_graph_reads_the_same_decoration(m, a, b):
+    b = b[:len(a) - 1]
+    runs = [(2, m), (1, a[0])]
+    for bk, ak in zip(b, a[1:]):
+        runs += [(2, -bk), (1, ak)]
+    w = BraidWord.from_runs(runs)
+    g, ref = closure_white_graph(w), reference_closure_white_graph(w)
+    assert to_decorated(g) == to_decorated(ref) == DecoratedCycleGraph(m, a, b)
+    assert g.to_json() == ref.to_json()
+    assert greene_presentation(g, keep_root=True) == greene_presentation(ref, keep_root=True)
 
 
 def test_shape_mismatch_tree():

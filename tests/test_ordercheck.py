@@ -25,7 +25,8 @@ from braidcover.cli import run_pipeline
 
 from support import (certified, certify, cycle_pres, dump_coset_table,
                      finite_presentation, normalize_type1,
-                     reference_infinite_witness)
+                     reference_infinite_witness,
+                     reference_subgroup_abelianization)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -229,6 +230,56 @@ def test_subgroup_abelianization_of_index2_kernels():
     inv = subgroup_abelianization(GroupPresentation(("a", "b"), ()),
                                   [[1, 1, 0, 0], [0, 0, 1, 1]])
     assert inv.to_json() == {"torsion": [], "rank": 3}
+
+
+def finite_route_tables(p):
+    """The two-coset table of every map onto Z/2 that infinite_witness may
+    try on p, and the table of the cyclic subgroup the finite route
+    enumerates when no kernel has infinite abelianization."""
+    gens = p.generators
+    tables = []
+    for bits in range(1, 1 << len(gens)):
+        eps = {g: bits >> i & 1 for i, g in enumerate(gens)}
+        if not any(sum(eps[sym] for sym, _ in r.letters) & 1 for r in p.relators):
+            tables.append([[c ^ eps[g] for g in gens for _ in (0, 1)] for c in (0, 1)])
+    if infinite_witness(p) is None:
+        tables.append(todd_coxeter(p, subgroup=cyclic_subgroup(p)).table)
+    return tables
+
+
+# D12 of order 24, its relators spelled with powers past the length of the
+# cycles they walk, in both signs: a^-36 is three laps of a's 12-cycle in
+# the regular action, b^4 two laps of b's 2-cycles
+DIHEDRAL12 = GroupPresentation(
+    ("a", "b"), (w("a") ** 12, w("b") ** -2, (w("a") * w("b")) ** 2,
+                 w("a") ** -36 * w("b") ** 4))
+
+
+def test_syllable_rewrite_matches_the_letter_scan():
+    checked = 0
+    lines = sorted({op.line for seed in (1, 2) for op in workloads.generate("finite", seed)})
+    for line in lines:
+        p = finite_presentation(line)
+        for rows in finite_route_tables(p):
+            assert subgroup_abelianization(p, rows) == \
+                reference_subgroup_abelianization(p, rows), line
+            checked += 1
+    assert checked > 150
+    # the regular action and cyclic subgroups of groups with a^4, b^-2,
+    # s^-3 and t^-5 in their relators
+    assert todd_coxeter(DIHEDRAL12).order == 24
+    a, b = w("a"), w("b")
+    for p, subgroups in [(SYMMETRIC3, (a, b, a * b)),
+                         (QUATERNION, (a, b, a * b ** -1, a ** 2)),
+                         (BINARY_ICOSAHEDRAL, (w("s"), w("t"), w("s") * w("t"))),
+                         (DIHEDRAL12, (a, a ** 4, b, a * b))]:
+        for h in ((),) + tuple((x,) for x in subgroups):
+            rows = todd_coxeter(p, subgroup=h).table
+            assert subgroup_abelianization(p, rows) == \
+                reference_subgroup_abelianization(p, rows), (p, h)
+    # a column that is no permutation is refused, not walked forever
+    with pytest.raises(ValueError):
+        subgroup_abelianization(GroupPresentation(("a",), ()), [[1, 1], [1, 0]])
 
 
 def test_witness_passes_the_finite_workload():
