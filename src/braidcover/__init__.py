@@ -6,7 +6,7 @@ from .braid import (BraidWord, parse_braid, format_braid, expand_fulltwist,
                     normalize_type1_d1, normalize_type1_dm1, replay_moves)
 from .diagram import (CheckerboardGraph, DecoratedCycleGraph,
                       closure_white_graph, cycle_graph_from_params,
-                      to_decorated, goeritz_matrix, is_alternating_closure)
+                      to_decorated, goeritz_matrix)
 from .presentation import (GroupPresentation, AbelianInvariants,
                            greene_presentation, cycle_presentation,
                            abelianize, tietze_simplify)
@@ -14,7 +14,6 @@ from .rewrite import (FreeWord, solve_relation, verify_lemma_x, verify_lemma_y,
                       verify_lemma_left, verify_lemma_right,
                       verify_product_relation)
 from .ordercheck import (certify_cycle_non_lo, verify_certificate,
-                         todd_coxeter, infinite_witness, torsion_non_lo,
-                         positive_cone_search)
+                         todd_coxeter, infinite_witness, torsion_non_lo)
 
 __version__ = "0.1.0"

@@ -17,13 +17,13 @@ from .braid import (BraidError, BraidWord, NormalizationError, parse_braid,
                     sl2_matrix, words_cyclically_equal, MAX_LETTERS)
 from .diagram import (DecoratedCycleGraph, DiagramError, closure_white_graph,
                       cycle_graph_from_params, cycle_names, graph_dot,
-                      is_alternating_closure, to_decorated)
+                      to_decorated)
 from .presentation import (AbelianInvariants, greene_presentation,
                            cycle_presentation, abelianize, tietze_simplify)
 from .ordercheck import (Exhausted, HypothesisNotMet, InfiniteGroup,
                          SoundnessError, Verdict, certify_cycle_non_lo,
                          verify_certificate, todd_coxeter, cyclic_subgroup,
-                         infinite_witness, torsion_non_lo, positive_cone_search,
+                         infinite_witness, torsion_non_lo,
                          VERDICT_CERTIFIED, VERDICT_FINITE, VERDICT_TORSION,
                          VERDICT_ALTERNATING, VERDICT_INCONCLUSIVE)
 
@@ -52,7 +52,7 @@ class PipelineFailure(Exception):
         self.code = code
 
 
-def run_pipeline(text, max_cosets=10 ** 6, canonical=False, cone_depth=None):
+def run_pipeline(text, max_cosets=10 ** 6, canonical=False):
     """Classify, normalize, present and certify one braid word.
 
     Returns (report dict, exit code).  Raises PipelineFailure with exit 2
@@ -80,8 +80,8 @@ def run_pipeline(text, max_cosets=10 ** 6, canonical=False, cone_depth=None):
                                         machine_checked=False).to_json()
             code = EXIT_INCONCLUSIVE
         elif cls.kind in (2, 3):
-            code = _finite_route(report, w, cls, max_cosets, cone_depth)
-        elif is_alternating_closure(cls):
+            code = _finite_route(report, w, cls, max_cosets)
+        elif cls.d == 0:        # family (1): its closure is alternating
             _diagram_block(report, w, w)
             report["verdict"] = Verdict(
                 VERDICT_ALTERNATING,
@@ -119,7 +119,7 @@ def _diagram_block(report, w, drawn):
     return g, pres, inv
 
 
-def _finite_route(report, w, cls, max_cosets, cone_depth=None):
+def _finite_route(report, w, cls, max_cosets):
     """Families (2) and (3): present the member the class names, in the
     colouring with fewer regions, and decide its group.
 
@@ -133,8 +133,6 @@ def _finite_route(report, w, cls, max_cosets, cone_depth=None):
     abelianization, of index 2, proves the group infinite
     (inconclusive).  Else the cosets of a cyclic H are enumerated and |H|
     read off the closed table.  A cap hit or an infinite H is inconclusive.
-    The positive-cone search enumerates the trivial subgroup itself, as it
-    needs the regular action.
     """
     member = BraidWord.from_runs([(2, cls.m)] if cls.kind == 2 else [(2, -1), (1, cls.m)],
                                  cls.d)
@@ -158,8 +156,6 @@ def _finite_route(report, w, cls, max_cosets, cone_depth=None):
     try:
         table = todd_coxeter(pres, max_cosets=max_cosets,
                              subgroup=cyclic_subgroup(pres))
-        if cone_depth:
-            regular = todd_coxeter(pres, max_cosets=max_cosets)
     except (Exhausted, InfiniteGroup) as e:
         report["verdict"] = Verdict(VERDICT_INCONCLUSIVE, str(e),
                                     machine_checked=False).to_json()
@@ -169,10 +165,6 @@ def _finite_route(report, w, cls, max_cosets, cone_depth=None):
     if h1 is not None and table.order % h1:
         raise SoundnessError("group order %d not divisible by |H1| = %d"
                              % (table.order, h1))
-    if cone_depth:
-        witness = positive_cone_search(pres, regular.is_trivial, depth=cone_depth)
-        report["positive_cone"] = (witness.to_json() if witness is not None
-                                   else {"found": False, "depth": cone_depth})
     just = ("coset enumeration closed with order %d" % table.order) if table.order > 1 \
         else "coset enumeration closed on the trivial group (not left-orderable by convention)"
     report["verdict"] = Verdict(VERDICT_FINITE, just).to_json()
@@ -287,7 +279,7 @@ def _print_report(report, as_json):
 def cmd_pipeline(args):
     try:
         report, code = run_pipeline(args.braid, max_cosets=args.max_cosets,
-                                    canonical=args.canonical, cone_depth=args.depth)
+                                    canonical=args.canonical)
     except PipelineFailure as e:
         print("error: %s" % e, file=sys.stderr)
         return e.code
@@ -437,9 +429,6 @@ def main(argv=None):
                    help="write the report's white graph as DOT: the input's, "
                         "the presented word's or the normal form's")
     p.add_argument("--max-cosets", type=int, default=10 ** 6)
-    p.add_argument("--depth", type=int, default=None,
-                   help="also run the positive-cone search to this depth on "
-                        "finite-group routes (corroboration only)")
     p.add_argument("--canonical", action="store_true",
                    help="suppress timing for byte-stable output")
     p.set_defaults(func=cmd_pipeline)

@@ -189,8 +189,10 @@ def closure_white_graph(w):
     rotations = {seg: tuple(ends) for seg, ends in zip(segs, seg_ends)}
     rotations[root] = tuple(reversed(hub_ends))
     g = CheckerboardGraph(tuple(segs + [root]), tuple(edges), rotations, root)
-    assert sum(abs(x) for _, _, x in g.edges) == len(w.letters)
-    assert g.euler_check()
+    if sum(abs(x) for _, _, x in g.edges) != len(w.letters):
+        raise DiagramError("the white graph does not have one edge per crossing")
+    if not g.euler_check():
+        raise DiagramError("the white graph fails the Euler check")
     return g
 
 
@@ -423,7 +425,3 @@ def goeritz_matrix(g):
             rows[j][i] = rows[j].get(i, 0) - s
     return GoeritzMatrix(labels, tuple({j: x for j, x in r.items() if x} for r in rows))
 
-
-def is_alternating_closure(c):
-    """Family (1) braids with d = 0 close up to alternating diagrams."""
-    return c.kind == 1 and c.d == 0

@@ -10,13 +10,10 @@ Reidemeister-Schreier presentation of H over the closed table, so |G| =
 [G:H] |H|.  The same subgroup abelianization proves a group infinite,
 from H after enumeration or, before it, from the kernel of a map onto
 Z/2, found by trying every assignment of the at most 7 generators the
-finite route presents.  A bounded positive-cone search, on the regular
-action only, is included as a generic brute-force obstruction.
+finite route presents.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .rewrite import (FreeWord, RewriteError, format_word, parse_word, x_sym,
                       right_rules, verify_lemma_x, verify_lemma_y,
@@ -69,21 +66,6 @@ class CosetTable:
         self.table = table                  # live rows, H at coset 0
         self.cosets_defined = cosets_defined
         self.index = index                  # [G:H], the number of rows
-
-    def trace(self, start, word):
-        col = {g: 2 * i for i, g in enumerate(self.generators)}
-        cur = start
-        for sym, s in word.letters:
-            cur = self.table[cur][col[sym] + (0 if s == 1 else 1)]
-        return cur
-
-    def is_trivial(self, word):
-        """Word problem oracle; valid only when the table is the regular
-        action, that is when the enumerated subgroup is trivial."""
-        if self.index != self.order:
-            raise SoundnessError("a table over a nontrivial subgroup cannot "
-                                 "decide the word problem")
-        return self.trace(0, word) == 0
 
 
 def todd_coxeter(p, max_cosets=10 ** 6, subgroup=()):
@@ -337,7 +319,7 @@ def infinite_witness(p):
 
 
 # ---------------------------------------------------------------------------
-# Torsion and positive-cone obstructions.
+# The torsion obstruction.
 # ---------------------------------------------------------------------------
 
 def torsion_non_lo(inv):
@@ -351,58 +333,6 @@ def torsion_non_lo(inv):
                        "trivial fundamental group, not left-orderable by convention")
     return Verdict(VERDICT_TORSION,
                    "nontrivial finite cyclic fundamental group Z/%d" % order)
-
-
-class PositiveConeWitness:
-    def __init__(self, generators, derivations):
-        self.generators = generators
-        self.derivations = derivations      # sign assignment -> word reaching the identity
-
-    def to_json(self):
-        return {"generators": list(self.generators),
-                "derivations": {"".join("+" if s > 0 else "-" for s in key):
-                                format_word(w, fold=False)
-                                for key, w in self.derivations.items()}}
-
-
-def positive_cone_search(p, oracle, depth=8):
-    """Breadth-first closure of each signed generator semigroup.
-
-    Returns a PositiveConeWitness when every sign assignment produces a
-    nonempty product equal to the identity within `depth`; None otherwise
-    (inconclusive).  `oracle` decides triviality of words.
-    """
-    gens = tuple(p.generators)
-    derivations = {}
-    for signs in itertools.product((1, -1), repeat=len(gens)):
-        found = None
-        frontier = [FreeWord.gen(g, s) for g, s in zip(gens, signs)]
-        seen = set(frontier)
-        for w in frontier:
-            if oracle(w):
-                found = w
-                break
-        length = 1
-        while found is None and length < depth:
-            nxt = []
-            for w in frontier:
-                for g, s in zip(gens, signs):
-                    w2 = w * FreeWord.gen(g, s)
-                    if w2 in seen:
-                        continue
-                    seen.add(w2)
-                    if oracle(w2):
-                        found = w2
-                        break
-                    nxt.append(w2)
-                if found is not None:
-                    break
-            frontier = nxt
-            length += 1
-        if found is None:
-            return None
-        derivations[signs] = found
-    return PositiveConeWitness(gens, derivations)
 
 
 # ---------------------------------------------------------------------------

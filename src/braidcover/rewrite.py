@@ -263,8 +263,8 @@ def solve_relation(r, g):
     else:
         # a g^-1 b = 1  =>  g = b a
         w = b * a
-    # sanity: substituting back must kill the relator
-    assert r.substitute({g: w}).is_identity()
+    if not r.substitute({g: w}).is_identity():
+        raise RewriteError("substituting for %s does not kill the relator" % g)
     return w
 
 

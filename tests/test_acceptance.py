@@ -7,7 +7,6 @@ expanded and a tuple costs about a millisecond.
 """
 
 import itertools
-import json
 import random
 import time
 
@@ -15,12 +14,10 @@ from braidcover.braid import (parse_braid, expand_fulltwist, exponent_sum,
                               replay_moves, words_cyclically_equal)
 from braidcover.diagram import (DecoratedCycleGraph, closure_white_graph,
                                 goeritz_matrix)
-from braidcover.presentation import (GroupPresentation, greene_presentation,
-                                     abelianize)
+from braidcover.presentation import greene_presentation, abelianize
 from braidcover.rewrite import (FreeWord, verify_lemma_x, verify_lemma_y,
                                 verify_lemma_right, verify_product_relation)
-from braidcover.ordercheck import (verify_certificate, todd_coxeter,
-                                   positive_cone_search)
+from braidcover.ordercheck import verify_certificate, todd_coxeter
 from support import (certified, cycle_pres, finite_presentation, lemma_rel,
                      normalize_type1)
 from test_presentation import parallel_graph
@@ -177,24 +174,6 @@ def test_criterion_6_normalization_soundness():
     _report(6, "all %d transcripts replay, exponent sums preserved "
                "(negated across the mirror move), cycle-form postconditions "
                "hold on %d instances" % (total, cycles))
-
-
-def test_criterion_7_positive_cone_sanity():
-    runs = []
-    for _ in range(2):
-        out = {}
-        for k in (2, 3, 5):
-            p = GroupPresentation(("x",), (w("x") ** k,))
-            table = todd_coxeter(p)
-            witness = positive_cone_search(p, table.is_trivial, depth=6)
-            assert witness is not None, k
-            out[k] = witness.to_json()
-        runs.append(json.dumps(out, sort_keys=True))
-    assert runs[0] == runs[1]
-    free = GroupPresentation(("x",), ())
-    assert positive_cone_search(free, lambda v: v.is_identity(), depth=10) is None
-    _report(7, "witnesses for Z/2, Z/3, Z/5 at depth <= 6 (deterministic), "
-               "none for infinite cyclic at depth 10")
 
 
 def test_criterion_8_generator_count():

@@ -18,12 +18,12 @@ from braidcover.diagram import (CheckerboardGraph, DecoratedCycleGraph,
                                 closure_white_graph, cycle_names, goeritz_matrix,
                                 graph_dot)
 from braidcover.ordercheck import (WITNESS_MAX_GENERATORS, SoundnessError,
-                                   todd_coxeter, verify_certificate)
+                                   verify_certificate)
 from braidcover.presentation import (cycle_presentation, greene_presentation,
                                      tietze_simplify)
-from braidcover.rewrite import FreeWord, parse_word
+from braidcover.rewrite import FreeWord
 from b3oracle import burau_determinant
-from support import certified, finite_presentation, workload_lines
+from support import certified, workload_lines
 
 # the child process imports the same braidcover as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(braidcover.__file__)))
@@ -441,6 +441,48 @@ def test_main_entry():
     assert main(["classify", "h s2^5"]) == 0
 
 
+def test_batch_exit_codes(monkeypatch, tmp_path, capsys):
+    import braidcover.cli as cli
+
+    assert main(["batch", str(tmp_path / "missing.txt")]) == 2
+    assert "cannot read grid file" in capsys.readouterr().err
+    lines = ["h s1 s2^-2 s1 s2^-2", "h s2^4", "(3; 1,1,1; 1,1)"]
+    grid = tmp_path / "grid.txt"
+    grid.write_text("\n".join(lines) + "\n")
+
+    def crash(pres):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "tietze_simplify", crash)   # finite route only
+    assert main(["batch", str(grid), "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert [r["input"] for r in data["results"]] == lines
+    assert data["counts"]["ok"] == 2 and data["counts"]["soundness_failure"] == 1
+
+
+def test_soundness_checks_survive_python_O():
+    # -O strips assert statements; the white graph's Euler check must stay
+    code, out, err = run_python("-O", "-c", """if True:
+        import braidcover.diagram as diagram
+        from braidcover.braid import parse_braid
+        from braidcover.cli import PipelineFailure, run_pipeline
+        diagram.CheckerboardGraph.euler_check = lambda self: False
+        print(__debug__)
+        try:
+            diagram.closure_white_graph(parse_braid("s1 s2^-1 s1 s2^-2"))
+        except diagram.DiagramError as e:
+            print(e)
+        try:
+            run_pipeline("s1 s2^-1 s1 s2^-2")
+        except PipelineFailure as e:
+            print(e.code, e)
+        """)
+    assert code == 0, err
+    assert out.splitlines() == [
+        "False", "the white graph fails the Euler check",
+        "3 internal error: DiagramError in closure_white_graph: "
+        "the white graph fails the Euler check"]
+
+
 def test_batch_workers_deterministic(tmp_path):
     grid = tmp_path / "grid.txt"
     grid.write_text("h s1 s2^-2 s1 s2^-2\n(3; 1,1,1; 1,1)\nh s2^4\nh^-1 s1 s2^-2\n")
@@ -456,20 +498,6 @@ def test_batch_workers_deterministic(tmp_path):
     assert seq[1]["ok"] > 20 and seq[1]["input_error"] == 6
     par = run_batch(lines, workers=2)
     assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
-
-
-def test_pipeline_cone_depth():
-    line = "h s1^-2 s2^-1"
-    report, code = run_pipeline(line, canonical=True, cone_depth=6)
-    assert code == 0
-    cone = report["positive_cone"]
-    # every derivation is the identity in the regular action of the group
-    pres = finite_presentation(line)
-    regular = todd_coxeter(pres)
-    assert cone["generators"] == list(pres.generators)
-    assert len(cone["derivations"]) == 2 ** len(pres.generators)
-    for word in cone["derivations"].values():
-        assert parse_word(word) and regular.trace(0, parse_word(word)) == 0, word
 
 
 def test_pipeline_contains_a_crash(monkeypatch, capsys):

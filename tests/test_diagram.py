@@ -8,10 +8,8 @@ from braidcover.braid import parse_braid, expand_fulltwist, mirror, BraidWord
 from braidcover.diagram import (CheckerboardGraph, DecoratedCycleGraph,
                                 DegenerateDiagram, DiagramError, ShapeMismatch,
                                 closure_white_graph, cycle_graph_from_params,
-                                to_decorated, goeritz_matrix,
-                                is_alternating_closure, graph_dot,
+                                to_decorated, goeritz_matrix, graph_dot,
                                 GoeritzMatrix)
-from braidcover.braid import classify_baldwin
 from braidcover.presentation import greene_presentation, abelianize
 
 from support import (graphs_isomorphic, leibniz_det,
@@ -301,12 +299,6 @@ def test_goeritz_rows_are_the_greene_exponent_sums():
         split += len(used) == 1
         twisted += d != 0
     assert checked >= 1000 and split > 100 and twisted > 300
-
-
-def test_is_alternating_closure():
-    assert is_alternating_closure(classify_baldwin(parse_braid("s1 s2^-1 s1 s2^-2")))
-    assert not is_alternating_closure(classify_baldwin(parse_braid("h s1 s2^-1")))
-    assert not is_alternating_closure(classify_baldwin(parse_braid("h s2^3")))
 
 
 def test_dot_export():

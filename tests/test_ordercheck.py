@@ -11,13 +11,11 @@ import pytest
 from braidcover.rewrite import FreeWord
 from braidcover.diagram import DecoratedCycleGraph
 from braidcover.presentation import (GroupPresentation, AbelianInvariants,
-                                     greene_presentation, tietze_simplify)
-from braidcover.braid import parse_braid, expand_fulltwist
-from braidcover.diagram import closure_white_graph
+                                     tietze_simplify)
+from braidcover.braid import parse_braid
 from braidcover.ordercheck import (Exhausted, HypothesisNotMet, InfiniteGroup,
-                                   SoundnessError, todd_coxeter, cyclic_subgroup,
-                                   infinite_witness, positive_cone_search,
-                                   torsion_non_lo, verify_certificate,
+                                   todd_coxeter, cyclic_subgroup,
+                                   infinite_witness, torsion_non_lo, verify_certificate,
                                    WITNESS_MAX_GENERATORS,
                                    VERDICT_TORSION, VERDICT_INCONCLUSIVE,
                                    VERDICT_FINITE, subgroup_abelianization)
@@ -92,10 +90,18 @@ SYMMETRIC3 = GroupPresentation(
 
 
 def element_order(regular, word):
-    """Order of a word, by tracing its powers through the regular action."""
-    k, c = 1, regular.trace(0, word)
+    """Order of a word, by tracing its powers through the regular action:
+    column 2i is generator i, column 2i + 1 its inverse."""
+    col = {g: 2 * i for i, g in enumerate(regular.generators)}
+    cols = [col[g] + (s == -1) for g, s in word.letters]
+
+    def trace(c):
+        for x in cols:
+            c = regular.table[c][x]
+        return c
+    k, c = 1, trace(0)
     while c:
-        k, c = k + 1, regular.trace(c, word)
+        k, c = k + 1, trace(c)
     return k
 
 
@@ -114,12 +120,12 @@ def test_subgroup_enumeration_order(p, h):
 
 
 def test_oracle_refuses_a_subgroup_table():
+    # a table over a nontrivial subgroup has fewer rows than the group
     table = todd_coxeter(SYMMETRIC3, subgroup=(w("a"),))
-    with pytest.raises(SoundnessError):
-        table.is_trivial(w("a"))
+    assert table.index == 3 and table.order == 6
     # a subgroup word that is trivial in G leaves the regular action
     table = todd_coxeter(SYMMETRIC3, subgroup=(w("a") ** 2,))
-    assert table.index == table.order == 6 and table.is_trivial(w("b") ** 2)
+    assert table.index == table.order == 6
 
 
 def test_infinite_subgroup_proves_the_group_infinite():
@@ -303,43 +309,10 @@ def test_infinite_dihedral_lines_end_fast():
         assert "index-2 subgroup" in report["verdict"]["justification"]
 
 
-def test_coset_table_word_oracle():
-    p = GroupPresentation(("v",), (w("v") ** 6,))
-    ct = todd_coxeter(p)
-    assert ct.is_trivial(w("v") ** 6)
-    assert ct.is_trivial(w("v") ** 0)
-    assert not ct.is_trivial(w("v") ** 3)
-
-
 def test_coset_table_dump_deterministic():
     p = GroupPresentation(("a", "b"),
                           (w("a") ** 2, w("b") ** 2, (w("a") * w("b")) ** 3))
     assert dump_coset_table(todd_coxeter(p)) == dump_coset_table(todd_coxeter(p))
-
-
-def test_positive_cone_finite_cyclic():
-    for k in (2, 3, 5):
-        p = GroupPresentation(("x",), (w("x") ** k,))
-        ct = todd_coxeter(p)
-        witness = positive_cone_search(p, ct.is_trivial, depth=6)
-        assert witness is not None
-        for signs, word in witness.derivations.items():
-            assert not word.is_identity()
-            assert ct.is_trivial(word)
-
-
-def test_positive_cone_infinite_cyclic():
-    p = GroupPresentation(("x",), ())
-    oracle = lambda word: word.is_identity()   # free reduction decides here
-    assert positive_cone_search(p, oracle, depth=10) is None
-
-
-def test_positive_cone_on_trefoil_cover():
-    g = closure_white_graph(expand_fulltwist(parse_braid("s2^3 s1")))
-    p = tietze_simplify(greene_presentation(g))
-    ct = todd_coxeter(p)
-    assert ct.order == 3
-    assert positive_cone_search(p, ct.is_trivial, depth=6) is not None
 
 
 def test_torsion_verdicts():
