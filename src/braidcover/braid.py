@@ -17,6 +17,7 @@ without rescanning either side.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 from .rewrite import (FreeWord, expand_runs, least_rotation, reduce_letters,
@@ -33,6 +34,7 @@ class NormalizationError(BraidError):
 
 MAX_LETTERS = 10 ** 6   # longest word parse_braid expands, each h six letters
 MAX_TWIST_STATES = 4096  # cyclic classes twist_search lists before it stops
+ROTATION_STARTS = 64     # least-letter starts _least_rotation_code compares
 
 # letters are (generator, sign) with generator 1 or 2 and sign +1/-1
 S1, S1I, S2, S2I = (1, 1), (1, -1), (2, 1), (2, -1)
@@ -65,9 +67,30 @@ def _join(left, right):
     return left[:len(left) - k] + right[k:]
 
 
-# sign, then the encoded spellings in TWIST_POS / TWIST_NEG order
-_TWIST_CODES = tuple((sign, tuple(map(_encode, pats)))
-                     for sign, pats in ((1, TWIST_POS), (-1, TWIST_NEG)))
+def _least_rotation_code(word):
+    """`least_rotation` of an encoded word.  It starts at a least letter,
+    so only those rotations are compared, as slices; a word with more than
+    ROTATION_STARTS of them is the power of its least rotation's root, or
+    goes to Duval's loop, so the cost stays linear."""
+    n = len(word)
+    c = "A" if "A" in word else "B" if "B" in word else "a" if "a" in word else "b"
+    ring = word + word
+    if word.count(c) > ROTATION_STARTS:
+        period = ring.find(word, 1)
+        if period < n:
+            return _least_rotation_code(word[:period]) * (n // period)
+        return least_rotation(word)
+    best, i = word, word.find(c)
+    while i >= 0:
+        best = min(best, ring[i:i + n])
+        i = word.find(c, i + 1)
+    return best
+
+
+# sign, then (encoded spelling, pattern of its row) in TWIST_POS / TWIST_NEG order
+_TWIST_CODES = tuple(
+    (sign, tuple((code, re.compile("(?:%s)+" % code[:2])) for code in map(_encode, pats)))
+    for sign, pats in ((1, TWIST_POS), (-1, TWIST_NEG)))
 
 
 class BraidWord(namedtuple("BraidWord", "letters fulltwist")):
@@ -232,11 +255,14 @@ def twist_search(letters):
     of cur do.  An occurrence across the end leaves the plain slice
     cur[rot+6-n:rot], and the cancellation successor of cur is cur[1:-1].
     When nothing cancels, a successor is looked up by the block deleted in
-    place, cur[:rot] + cur[rot+6:], which is one of its rotations.  Deleting
-    any one of a row of spelled-out twists leaves the same string, so an
-    occurrence that leaves the string the one before it left is skipped,
-    and a row costs one least rotation, not one per twist.  A successor's
-    moves are built only when its state is new.
+    place, cur[:rot] + cur[rot+6:], which is one of its rotations.  Every
+    spelling is its first two letters three times, so deleting any block
+    of a row of them leaves that same string: one match of the row's
+    pattern takes the search past the row's last block inside cur, and a
+    row costs one key, not one per twist.  Elsewhere an occurrence that
+    leaves the string the one before it left is skipped.  Moves are built
+    only for a new state, whose key is its least rotation
+    (`_least_rotation_code`).
     """
     start = _encode(reduce_letters(letters))
     states = [(start, 0, ())]
@@ -244,8 +270,8 @@ def twist_search(letters):
 
     def new_class(word, dd):
         if not seen:        # the start's key is needed from the first successor on
-            seen.add((least_rotation(start), 0))
-        key = (least_rotation(word), dd)
+            seen.add((_least_rotation_code(start), 0))
+        key = (_least_rotation_code(word), dd)
         if key in seen:
             return False
         seen.add(key)
@@ -263,9 +289,10 @@ def twist_search(letters):
             continue
         ring = cur + cur[:5]
         for sign, pats in _TWIST_CODES:
-            for pat in pats:
+            for pat, row in pats:
                 rot, last = ring.find(pat), None
                 while 0 <= rot < nn:
+                    after = rot + 1
                     if rot + 6 > nn:
                         rest = spot = cur[rot + 6 - nn:rot]
                     elif ends_cancel:
@@ -273,12 +300,13 @@ def twist_search(letters):
                     else:
                         rest = cur[rot + 6:] + cur[:rot]
                         spot = cur[:rot] + cur[rot + 6:]
+                        after = row.match(cur, rot).end() - 5
                     if spot != last and new_class(spot, dd + sign):
                         step = (("extract_h", sign), ("reduce",))
                         if rot:
                             step = (("rotate", rot),) + step
                         states.append((rest, dd + sign, moves + step))
-                    rot, last = ring.find(pat, rot + 1), spot
+                    rot, last = ring.find(pat, after), spot
     return [(_decode(code), dd, moves) for code, dd, moves in states]
 
 
@@ -493,16 +521,21 @@ def _rotate_to_s1_run(mv):
     raise NormalizationError("no s1 run bounded by s2^-1 blocks")
 
 
-def _prepare_type1(w, want_d):
-    """Shared front end: classify, then replay the extraction moves the
-    class carries, leaving the rotated unit form."""
-    c = classify_baldwin(w)
-    if c.kind != 1 or c.d != want_d:
+def _prepare_type1(w, cls, want_d):
+    """Shared front end: replay the extraction moves of w's class `cls`,
+    then check that they reached a unit form of that class.  The word
+    reached has no twist left, so its classification lists one state."""
+    if cls.kind != 1 or cls.d != want_d:
         raise NormalizationError(
-            "normalizer expects a family (1) braid with d = %d, got %s" % (want_d, c.to_json()))
+            "normalizer expects a family (1) braid with d = %d, got %s" % (want_d, cls.to_json()))
     mv = _Mover(w)
-    for move in c.moves:
+    for move in cls.moves:
         mv.do(*move)
+    reached = BraidWord(mv.letters, mv.state[1])
+    got = classify_baldwin(reached)
+    if got != cls or got.moves:
+        raise NormalizationError("the class moves reach %s, not a unit form of %s"
+                                 % (format_braid(reached), cls.to_json()))
     return mv
 
 
@@ -562,14 +595,14 @@ def _outcome_from_final(mv, mirrored=False):
     return CycleForm(M, A, B, final, mv.moves, mirrored=mirrored)
 
 
-def normalize_type1_d1(w):
-    """Case d = 1: conjugate into sigma2^m s1^{a0} s2^{-b1} ... s1^{an}, m > 2.
+def normalize_type1_d1(w, cls):
+    """Case d = 1, with `cls` the class of w: conjugate into sigma2^m s1^{a0} s2^{-b1} ... s1^{an}, m > 2.
 
     Replays the chain h = s2 s1^2 s2 s1^2, absorbs s1^2 into the leading s1
     run, then commutes the s2 through it with the braid relation; the first
     and last s2^- blocks each lose one crossing on the way.
     """
-    mv = _prepare_type1(w, 1)
+    mv = _prepare_type1(w, cls, 1)
     _rotate_to_s1_run(mv)
     mv.do("expand_h", 1, 0)             # (s2 s1)^3 in front
     mv.do("braid_rel", 2)               # -> s2 s1^2 s2 s1^2
@@ -597,15 +630,15 @@ def normalize_type1_d1(w):
     return out
 
 
-def normalize_type1_dm1(w):
-    """Case d = -1: reduce to s1^-1 s2^-(a1+2) s1 s2^-a2 ... s1 s2^-(an+2),
+def normalize_type1_dm1(w, cls):
+    """Case d = -1, with `cls` the class of w: reduce to s1^-1 s2^-(a1+2) s1 s2^-a2 ... s1 s2^-(an+2),
     then exchange + mirror into the cycle form with m = 1.
 
     For n = 1 the chain ends in s1^-1 s2^-(a1+4), which exchange + mirror
     turn into s2 s1^(a1+4): the branch set is T(2, a1+4), and the report
     notes the erratum in the source, which states T(2, a1).
     """
-    mv = _prepare_type1(w, -1)
+    mv = _prepare_type1(w, cls, -1)
     letters = mv.letters
     start = next(i for i, l in enumerate(letters) if l == S1)
     if start:

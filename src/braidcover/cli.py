@@ -15,9 +15,9 @@ from .braid import (BraidError, BraidWord, NormalizationError, parse_braid,
                     format_braid, classify_baldwin, expand_fulltwist, exponent_sum,
                     normalize_type1_d1, normalize_type1_dm1, replay_moves,
                     sl2_matrix, words_cyclically_equal, MAX_LETTERS)
-from .diagram import (DecoratedCycleGraph, DiagramError, closure_white_graph,
-                      cycle_graph_from_params, cycle_names, graph_dot,
-                      to_decorated)
+from .diagram import (DecoratedCycleGraph, DegenerateDiagram, DiagramError,
+                      closure_white_graph, cycle_graph_from_params, cycle_names,
+                      graph_dot, to_decorated)
 from .presentation import (AbelianInvariants, greene_presentation,
                            cycle_presentation, abelianize, tietze_simplify)
 from .ordercheck import (Exhausted, HypothesisNotMet, InfiniteGroup,
@@ -176,7 +176,7 @@ def _cycle_route(report, w, cls):
     one graph serves the report, cycle form, presentation and certificate."""
     normalize = normalize_type1_d1 if cls.d == 1 else normalize_type1_dm1
     try:
-        out = normalize(w)
+        out = normalize(w, cls)
     except NormalizationError as e:
         raise SoundnessError("normalization failed: %s" % e)
     report["normalization"] = out.to_json()
@@ -291,9 +291,12 @@ def cmd_pipeline(args):
                 graph = closure_white_graph(w).to_json()
             with open(args.dot, "w") as f:
                 f.write(graph_dot(graph))
-        except (BraidError, DiagramError) as e:
+        except (BraidError, DegenerateDiagram, OSError) as e:
             print("dot export failed: %s" % e, file=sys.stderr)
             return EXIT_INPUT
+        except DiagramError as e:       # a soundness check of the drawing failed
+            print("dot export failed: soundness error: %s" % e, file=sys.stderr)
+            return EXIT_SOUNDNESS
     _print_report(report, args.json)
     return code
 

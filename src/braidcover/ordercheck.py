@@ -513,6 +513,8 @@ def verify_certificate(cert_json, pres):
         return False, ["lemma replay failed: %s" % e]
 
     bound = max((d.m,) + d.a + d.b)
+    gens = tuple(map(FreeWord.gen, ("y0", "y%d" % d.cn, x_sym(1, d.m, d.cn),
+                                    x_sym(d.m - 1, d.m, d.cn))))
     try:
         steps = []
         for js in cert_json["steps"]:
@@ -528,7 +530,7 @@ def verify_certificate(cert_json, pres):
                             % (idx, bad[0]))
             continue
         try:
-            _check_step(problems, d, cert_json, steps, idx, lemmas, bound)
+            _check_step(problems, d, cert_json, steps, idx, lemmas, bound, gens)
         except Exception as e:
             problems.append("step %d: malformed (%s)" % (idx, e))
 
@@ -541,13 +543,11 @@ def verify_certificate(cert_json, pres):
     return not problems, problems
 
 
-def _check_step(problems, d, cert_json, steps, idx, lemmas, bound):
+def _check_step(problems, d, cert_json, steps, idx, lemmas, bound, gens):
+    """Check step idx; gens is (y0, y_cn, x1, x_{m-1}) as words."""
     element, sign, rule, premises, payload = steps[idx]
     m, a, cn = d.m, d.a, d.cn
-    y0 = FreeWord.gen("y0")
-    ycn = FreeWord.gen("y%d" % cn)
-    x1 = FreeWord.gen(x_sym(1, m, cn))
-    xm1 = FreeWord.gen(x_sym(m - 1, m, cn))
+    y0, ycn, x1, xm1 = gens
     if rule == "wlog":
         if not (lemmas["wlog"]["ok"] and cert_json["hypothesis"].get("ok")):
             problems.append("wlog predicate not established")

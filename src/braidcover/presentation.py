@@ -246,7 +246,10 @@ def _tietze_entry(r):
 
 
 def relator_sets_equal(p1, p2):
-    """Relator multisets up to cyclic rotation and inversion."""
+    """Relator multisets up to cyclic rotation and inversion; equal tuples,
+    the usual case, are not keyed."""
+    if p1.relators == p2.relators:
+        return True
     k1 = sorted(r.canonical_cyclic() for r in p1.relators if r)
     k2 = sorted(r.canonical_cyclic() for r in p2.relators if r)
     return k1 == k2

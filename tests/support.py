@@ -154,9 +154,9 @@ def normalize_type1(w):
     if c.kind != 1:
         raise NormalizationError("not a family (1) braid")
     if c.d == 1:
-        return normalize_type1_d1(w)
+        return normalize_type1_d1(w, c)
     if c.d == -1:
-        return normalize_type1_dm1(w)
+        return normalize_type1_dm1(w, c)
     raise NormalizationError("d = 0 braids are alternating; nothing to normalize")
 
 

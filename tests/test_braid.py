@@ -14,11 +14,11 @@ from braidcover.braid import (BaldwinClass, BraidError, BraidWord,
                               TWIST_NEG, TWIST_POS)
 from braidcover.diagram import DecoratedCycleGraph
 from braidcover.presentation import AbelianInvariants, GroupPresentation
-from braidcover.rewrite import FreeWord
+from braidcover.rewrite import FreeWord, least_rotation
 
 from b3oracle import braids_equal, conjugacy_invariants, evaluate
 from support import (cyclic_conjugate, drop_later_rotations, normalize_type1,
-                     reference_twist_search)
+                     reference_twist_search, workload_lines)
 
 LETTER = st.sampled_from((S1, S1I, S2, S2I))
 
@@ -190,7 +190,7 @@ def test_classify_zero_exponents_allowed():
 
 def _check_normalization(text, normalizer):
     w = parse_braid(text)
-    out = normalizer(w)
+    out = normalizer(w, classify_baldwin(w))
     replayed = replay_moves(w, out.transcript)
     assert words_cyclically_equal(replayed, out.word)
     # mirroring flips the conjugacy class; compare oracle invariants on the
@@ -251,12 +251,54 @@ def test_normalize_dm1_cycle():
 
 
 def test_normalize_preconditions():
+    d0, other = parse_braid("s1 s2^-1"), parse_braid("h s2^3")
     with pytest.raises(NormalizationError):
-        normalize_type1_dm1(parse_braid("s1 s2^-1"))       # d = 0
+        normalize_type1_dm1(d0, classify_baldwin(d0))           # d = 0
     with pytest.raises(NormalizationError):
-        normalize_type1_d1(parse_braid("h s2^3"))          # wrong family
+        normalize_type1_d1(other, classify_baldwin(other))      # wrong family
     with pytest.raises(NormalizationError):
         normalize_type1(parse_braid("s1 s2^-1"))
+
+
+def test_normalizer_refuses_a_class_its_moves_do_not_reach():
+    # one spelled-out twist in front of the unit form s1 s2^-2 s1 s2^-2
+    w = parse_braid("s2 s1 s2 s1 s2 s1 s1 s2^-2 s1 s2^-2")
+    cls = classify_baldwin(w)
+    assert cls.to_json() == {"type": 1, "d": 1, "a": [2, 2]}
+    assert normalize_type1_d1(w, cls).kind == "cycle"
+    last = max(i for i, move in enumerate(cls.moves) if move[0] == "extract_h")
+    for bad in (cls._replace(moves=cls.moves[:last] + cls.moves[last + 1:]),
+                cls._replace(a=(2, 3))):
+        with pytest.raises(NormalizationError, match="the class moves reach"):
+            normalize_type1_d1(w, bad)
+    w = parse_braid("h^-1 s1 s2^-1 s1 s2^-2")
+    with pytest.raises(NormalizationError, match="the class moves reach"):
+        normalize_type1_dm1(w, classify_baldwin(w)._replace(a=(1, 1)))
+
+
+def test_the_normalizer_classifies_a_word_with_no_twist_left(monkeypatch):
+    # on every family (1) line with d = +-1 of the workloads (ladder and
+    # twisted among them), the normalizer's check of the word the class
+    # moves reach searches one state
+    sizes, search = [], braid.twist_search
+
+    def recorded(letters):
+        states = search(letters)
+        sizes.append(len(states))
+        return states
+
+    monkeypatch.setattr(braid, "twist_search", recorded)
+    lines = 0
+    for line in workload_lines():
+        w = parse_braid(line)
+        cls = classify_baldwin(w)
+        if cls.kind != 1 or cls.d == 0:
+            continue
+        del sizes[:]
+        (normalize_type1_d1 if cls.d == 1 else normalize_type1_dm1)(w, cls)
+        assert sizes == [1], line
+        lines += 1
+    assert lines > 800
 
 
 def _type1_words(dsign, max_n=3, max_a=3):
@@ -412,6 +454,22 @@ def test_truncated_twist_search_is_flagged(monkeypatch):
     # a search that ends below the cap is not flagged
     c = classify_baldwin(parse_braid("h^-1 s1 s2 s1 s2 s1 s2 s1 s2^-1"))
     assert (c.to_json(), c.stopped_at) == ({"type": 1, "d": 0, "a": [1]}, 0)
+
+
+CODE = st.text(alphabet="aAbB", max_size=200)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(CODE, st.text(alphabet="ab", min_size=130, max_size=400),
+                 st.builds(lambda root, k: root * k, CODE, st.integers(1, 80))))
+@example("")
+@example("ab" * 100)                # a power with more least-letter starts than the cap
+@example("ab" * 100 + "b")          # as many, and primitive
+@example(("ab" * 70 + "b") * 3)     # a power whose root has as many
+def test_encoded_least_rotation_matches_duval(word):
+    # random encoded words, words with more starts at their least letter
+    # than ROTATION_STARTS, and powers of random words
+    assert braid._least_rotation_code(word) == least_rotation(word)
 
 
 @settings(max_examples=200, deadline=None, database=None)

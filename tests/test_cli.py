@@ -261,7 +261,8 @@ FINITE = {"twist_search": 1, "classify_baldwin": 1, "expand_fulltwist": 1,
 COUNTED = tuple(FAMILY1) + ("infinite_witness", "todd_coxeter", "mirror",
                             "tietze_simplify")
 # line, verdict, calls per counted function (0 where absent); the second
-# classification of a family (1) line is the normalizer's own
+# classification of a family (1) line is the normalizer's check of the word
+# the class moves reach, a unit form whose search lists one state
 COUNT_TABLE = [
     ("h s1 s2^-2 s1 s2^-2", "NonLO_Certified", FAMILY1),
     ("h^-1 s1 s2^-1 s1 s2^-2", "NonLO_Certified",
@@ -375,6 +376,22 @@ def test_dot_of_unclassified_word(tmp_path, capsys):
     assert main(["pipeline", "h^2 s2^5", "--dot", str(dot)]) == 1
     g = closure_white_graph(expand_fulltwist(parse_braid("h^2 s2^5")))
     assert dot.read_text() == graph_dot(g.to_json())
+
+
+def test_dot_export_exit_codes(monkeypatch, tmp_path, capsys):
+    # an empty word or a path that cannot be written is an input error; a
+    # failed soundness check in the drawing of an unclassified word is
+    # exit 3, as it is for a classified word, whose graph the pipeline draws
+    dot = str(tmp_path / "graph.dot")
+    assert main(["pipeline", "1", "--dot", dot]) == 2
+    assert main(["pipeline", "s1 s2", "--dot", str(tmp_path / "no" / "x.dot")]) == 2
+    assert capsys.readouterr().err.count("dot export failed") == 2
+    monkeypatch.setattr(CheckerboardGraph, "euler_check", lambda self: False)
+    assert main(["pipeline", "s1 s2", "--dot", dot]) == 3
+    assert capsys.readouterr().err == ("dot export failed: soundness error: "
+                                       "the white graph fails the Euler check\n")
+    assert main(["pipeline", "h s1 s2^-1", "--dot", dot]) == 3
+    assert not os.path.exists(dot)
 
 
 def test_oversized_word_is_an_input_error(tmp_path):
@@ -604,6 +621,24 @@ def test_finite_route_moves_must_reach_the_member(monkeypatch, capsys):
     assert main(["pipeline", line]) == 3
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "soundness error: the class moves do not replay to h s2^5"
+
+
+def test_cycle_route_class_must_reach_its_unit_form(monkeypatch):
+    # the normalizer replays the class it is handed and checks what that
+    # reaches: a class short of its last extraction, or with another a,
+    # fails the line with exit 3
+    import braidcover.cli as cli
+    line = "s2 s1 s2 s1 s2 s1 s1 s2^-2 s1 s2^-2"
+    cls = classify_baldwin(parse_braid(line))
+    assert run_pipeline(line, canonical=True)[1] == 0
+    last = max(i for i, move in enumerate(cls.moves) if move[0] == "extract_h")
+    for bad in (cls._replace(moves=cls.moves[:last] + cls.moves[last + 1:]),
+                cls._replace(a=(2, 3))):
+        monkeypatch.setattr(cli, "classify_baldwin", lambda w: bad)
+        report, code = run_pipeline(line, canonical=True)
+        assert code == 3
+        assert report["soundness_error"].startswith(
+            "normalization failed: the class moves reach"), report["soundness_error"]
 
 
 def test_finite_route_lines_present_at_most_7_generators():
