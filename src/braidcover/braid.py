@@ -2,10 +2,12 @@
 
 A word is a sequence of signed Artin letters s1/s2 plus a symbolic power of
 the central full twist h = (s2 s1)^3.  Classification into the three
-families and the two normalization chains work only up to free reduction,
-cyclic permutation, the braid relation, and symbolic h bookkeeping; no
-general conjugacy machinery is used.  Normalizations are emitted as move
-transcripts that replay mechanically.
+families works only up to free reduction, cyclic permutation and symbolic
+h bookkeeping, and records its path as class moves that replay
+mechanically; no general conjugacy machinery is used.  A family (1) normal
+form is written in closed form from the unit form those moves reach,
+together with a conjugator that one comparison of exponent sum and SL2(Z)
+image checks.
 
 The twist search and the cyclic comparison work on a compact encoding: one
 character per letter, `a A b B` for s1, s1^-1, s2, s2^-1, so inversion is
@@ -197,9 +199,10 @@ def sl2_matrix(w):
 class BaldwinClass(namedtuple("BaldwinClass", "kind d a m stopped_at moves",
                               defaults=(0, (), 0, 0, ()))):
     """Tagged union over the three families; kind is 1, 2, 3 or 0 (none).
-    `moves`, the twist_search path that realised it, is not compared.  The
-    family (1) normalizers replay it, and so does the finite route, which
-    checks that it reaches the member the class spells.  A kind 0 class
+    `moves`, the twist_search path that realised it, is not compared.  Each
+    route of the pipeline replays it once: the finite route checks that it
+    reaches the member the class spells, and the cycle route hands the unit
+    form it reaches to a family (1) normalizer.  A kind 0 class
     whose search listed MAX_TWIST_STATES cyclic classes holds that cap in
     `stopped_at`: it is not known to lie outside the families."""
     __slots__ = ()
@@ -231,13 +234,14 @@ NOT_IN_FAMILY = BaldwinClass(0)
 def twist_search(letters):
     """Reachable (letters, dd, moves) states under cyclic cancellation and
     twist extraction, breadth first, one state per cyclic word and dd.
+    `letters` must be freely reduced, as a BraidWord's are.
 
     Cancellation can destroy a spelled-out twist and extraction can block a
     cancellation, so both orders are explored.  The listing order is
     deterministic: the cancellation first, then each cyclic occurrence of a
     twist spelling by sign, spelling and offset.  `moves` replays from the
-    freely reduced input.  The listing stops once it holds MAX_TWIST_STATES
-    states, that is, cyclic classes.
+    input.  The listing stops once it holds MAX_TWIST_STATES states, that
+    is, cyclic classes.
 
     A state is listed only if no rotation of it was listed before: it keeps
     the spelling and moves of the first rotation found.  Nothing is lost.
@@ -264,7 +268,7 @@ def twist_search(letters):
     only for a new state, whose key is its least rotation
     (`_least_rotation_code`).
     """
-    start = _encode(reduce_letters(letters))
+    start = _encode(letters)
     states = [(start, 0, ())]
     seen = set()    # (least rotation, dd) of each listed state
 
@@ -354,8 +358,8 @@ def classify_baldwin(w):
     family (3) with d = 1, m = -2, but in its rotation
     s2 s1 s2 s1 s2 s1^-1 s2^-1 s1^-1 s1 the twist is spelled across letters
     that cancel, and no family matches.  The class carries
-    the moves of the first search state giving that match, so a normalizer
-    can replay the path instead of searching again.
+    the moves of the first search state giving that match, so a route can
+    replay the path instead of searching again.
     """
     key = lambda c: (c.kind, c.d, c.a, c.m)
     best = NOT_IN_FAMILY
@@ -372,20 +376,14 @@ def classify_baldwin(w):
 
 
 # ---------------------------------------------------------------------------
-# Move engine.  Moves act on (letters, fulltwist) with no implicit
-# reduction, so transcripts replay exactly as recorded.
+# Class moves.  They act on (letters, fulltwist) with no implicit
+# reduction, so a class's moves replay exactly as twist_search recorded them.
 # ---------------------------------------------------------------------------
 
-BRAID_WINDOWS = {
-    (S1, S2, S1): (S2, S1, S2),
-    (S2, S1, S2): (S1, S2, S1),
-    (S1I, S2I, S1I): (S2I, S1I, S2I),
-    (S2I, S1I, S2I): (S1I, S2I, S1I),
-}
-
-
 def apply_move(state, move):
-    """One transcript move on a (letters tuple, fulltwist) state."""
+    """One class move on a (letters tuple, fulltwist) state: `rotate` and
+    `reduce` conjugate or keep the element, `extract_h` moves a spelled
+    twist at the front into the power."""
     letters, d = state
     kind = move[0]
     if kind == "rotate":
@@ -393,50 +391,24 @@ def apply_move(state, move):
         return letters[k:] + letters[:k], d
     if kind == "reduce":
         return reduce_letters(letters), d
-    if kind == "insert":
-        _, at, (g, s) = move
-        pair = ((g, s), (g, -s))
-        return letters[:at] + pair + letters[at:], d
-    if kind == "braid_rel":
-        at = move[1]
-        window = letters[at:at + 3]
-        if window not in BRAID_WINDOWS:
-            raise NormalizationError("no braid relation window at %d" % at)
-        return letters[:at] + BRAID_WINDOWS[window] + letters[at + 3:], d
-    if kind == "expand_h":
-        _, sign, phase = move
-        if d * sign <= 0:
-            raise NormalizationError("no twist of sign %d to expand" % sign)
-        block = (TWIST_POS if sign > 0 else TWIST_NEG)[phase]
-        return block + letters, d - sign
     if kind == "extract_h":
         sign = move[1]
         for block in (TWIST_POS if sign > 0 else TWIST_NEG):
             if letters[:6] == block:
                 return letters[6:], d + sign
         raise NormalizationError("no twist block at the front")
-    if kind == "mirror":
-        return tuple((g, -s) for g, s in letters), -d
-    if kind == "exchange":
-        return tuple((3 - g, s) for g, s in letters), d
     raise NormalizationError("unknown move %r" % (kind,))
 
 
 def replay_moves(w, moves):
-    """Replay a transcript from a BraidWord; returns the final BraidWord.
-
-    Checks the exponent-sum bookkeeping at every step: each move preserves
-    it except mirror, which negates it.
-    """
+    """Replay class moves from a BraidWord; returns the final BraidWord.
+    Checks at every step that the exponent sum is kept."""
     state = (w.letters, w.fulltwist)
     exp = exponent_sum(w)
     for move in moves:
         state = apply_move(state, move)
-        got = sum(s for _, s in state[0]) + 6 * state[1]
-        want = -exp if move[0] == "mirror" else exp
-        if got != want:
+        if sum(s for _, s in state[0]) + 6 * state[1] != exp:
             raise NormalizationError("exponent sum broken by %r" % (move,))
-        exp = got
     return BraidWord.from_runs(run_lengths(state[0]), state[1])
 
 
@@ -450,214 +422,142 @@ def words_cyclically_equal(w1, w2):
 
 
 # ---------------------------------------------------------------------------
-# Normalization outcomes.
+# Family (1) normal forms, written in closed form from the unit form u that
+# the class moves reach.  Each carries a conjugator c with c u c^-1 = N, or
+# c u c^-1 = exchange(mirror(N)) when mirrored; `cli._cycle_route` checks it.
 # ---------------------------------------------------------------------------
 
-class CycleForm:
-    kind = "cycle"
+class NormalForm:
+    """The normal form `word` N, the class moves `transcript` that reach
+    the unit form u, the conjugator c and whether N is mirrored."""
 
-    def __init__(self, m, a, b, word, transcript, mirrored=False, notes=()):
-        self.m, self.a, self.b, self.word = m, a, b, word
-        self.transcript, self.mirrored, self.notes = transcript, mirrored, notes
+    def __init__(self, word, transcript, conjugator, mirrored, notes=()):
+        self.word, self.transcript, self.conjugator = word, transcript, conjugator
+        self.mirrored, self.notes = mirrored, notes
 
     def to_json(self):
-        return {"outcome": "cycle", "m": self.m, "a": list(self.a), "b": list(self.b),
-                "word": format_braid(self.word), "mirrored": self.mirrored,
-                "moves": [list(m) for m in self.transcript], "notes": list(self.notes)}
+        return dict(self.params(), outcome=self.kind, word=format_braid(self.word),
+                    moves=[list(m) for m in self.transcript],
+                    conjugator=format_braid(self.conjugator), notes=list(self.notes))
 
 
-class TorusBranchSet:
+class CycleForm(NormalForm):
+    kind = "cycle"
+
+    def __init__(self, m, a, b, *common):
+        super().__init__(*common)
+        self.m, self.a, self.b = m, a, b
+
+    def params(self):
+        return {"m": self.m, "a": list(self.a), "b": list(self.b), "mirrored": self.mirrored}
+
+
+class TorusBranchSet(NormalForm):
     kind = "torus"
     p = 2
 
-    def __init__(self, q, word, transcript, notes=(), mirrored=False):
-        self.q, self.word, self.transcript, self.notes = q, word, transcript, notes
-        self.mirrored = mirrored    # left out of to_json; the mirror move shows it
+    def __init__(self, q, *common):
+        super().__init__(*common)
+        self.q = q
 
-    def to_json(self):
-        return {"outcome": "torus", "p": 2, "q": self.q,
-                "word": format_braid(self.word),
-                "moves": [list(m) for m in self.transcript], "notes": list(self.notes)}
+    def params(self):
+        return {"p": 2, "q": self.q, "mirrored": self.mirrored}
 
 
-class ConnectedSumBranchSet:
+class ConnectedSumBranchSet(NormalForm):
     kind = "connected_sum"
 
-    def __init__(self, q1, q2, word, transcript, notes=()):
-        self.q1, self.q2, self.word = q1, q2, word
-        self.transcript, self.notes = transcript, notes
+    def __init__(self, q1, q2, *common):
+        super().__init__(*common)
+        self.q1, self.q2 = q1, q2
 
-    def to_json(self):
-        return {"outcome": "connected_sum", "factors": [[2, self.q1], [2, self.q2]],
-                "word": format_braid(self.word),
-                "moves": [list(m) for m in self.transcript], "notes": list(self.notes)}
+    def params(self):
+        return {"factors": [[2, self.q1], [2, self.q2]]}
 
 
-class _Mover:
-    """Accumulates moves while maintaining the current raw state."""
-
-    def __init__(self, w):
-        self.state = (w.letters, w.fulltwist)
-        self.moves = []
-
-    def do(self, *move):
-        self.state = apply_move(self.state, move)
-        self.moves.append(move)
-
-    @property
-    def letters(self):
-        return self.state[0]
-
-
-def _rotate_to_s1_run(mv):
-    """Rotate so the word starts with an s1 run preceded cyclically by s2^-1."""
-    letters = mv.letters
-    nn = len(letters)
-    for i in range(nn):
-        if letters[i] == S1 and letters[i - 1] == S2I:
-            if i:
-                mv.do("rotate", i)
-            return
-    raise NormalizationError("no s1 run bounded by s2^-1 blocks")
-
-
-def _prepare_type1(w, cls, want_d):
-    """Shared front end: replay the extraction moves of w's class `cls`,
-    then check that they reached a unit form of that class.  The word
-    reached has no twist left, so its classification lists one state."""
+def _unit_runs(u, cls, want_d):
+    """The runs of u, the word the class moves of `cls` reach, once u is
+    checked to be a unit form of that class: it has no twist left, so its
+    classification lists one state."""
     if cls.kind != 1 or cls.d != want_d:
         raise NormalizationError(
             "normalizer expects a family (1) braid with d = %d, got %s" % (want_d, cls.to_json()))
-    mv = _Mover(w)
-    for move in cls.moves:
-        mv.do(*move)
-    reached = BraidWord(mv.letters, mv.state[1])
-    got = classify_baldwin(reached)
+    got = classify_baldwin(u)
     if got != cls or got.moves:
         raise NormalizationError("the class moves reach %s, not a unit form of %s"
-                                 % (format_braid(reached), cls.to_json()))
-    return mv
+                                 % (format_braid(u), cls.to_json()))
+    return run_lengths(u.letters)
 
 
-def _cyclic_runs(letters):
-    """Run-length encoding of the cyclic word (seam runs merged)."""
-    runs = run_lengths(letters)
-    if len(runs) >= 2 and runs[0][0] == runs[-1][0] and runs[0][1] * runs[-1][1] > 0:
-        runs = runs[1:-1] + [(runs[0][0], runs[0][1] + runs[-1][1])]
-    return runs
+def _inverse_runs(runs):
+    return [(g, -e) for g, e in reversed(runs)]
 
 
-def _parse_cycle_word(letters):
-    """Cyclic word s2^M s1^{A0} s2^{-B1} ... s2^{-Bs} s1^{As} -> (M, A, B).
+def _normal_form(runs, cls, conjugator, mirrored=False):
+    """The outcome N's runs spell.  Two runs s2^e2 s1^e1 close to a split
+    branch set: T(2, e1) when e2 = 1, whose single s2 destabilizes away,
+    else T(2, e2) # T(2, e1).  More runs are the cycle form
+    s2^m s1^a0 s2^-b1 ... s2^-bn s1^an."""
+    runs = reduce_runs(runs)
+    common = (BraidWord.from_runs(runs), cls.moves, BraidWord.from_runs(conjugator), mirrored)
+    if len(runs) == 2:
+        (_, e2), (_, e1) = runs
+        return TorusBranchSet(e1, *common) if e2 == 1 else ConnectedSumBranchSet(e2, e1, *common)
+    return CycleForm(runs[0][1], tuple(e for _, e in runs[1::2]),
+                     tuple(-e for _, e in runs[2::2]), *common)
 
-    Expects exactly one positive s2 run and positive s1 runs throughout.
+
+def normalize_type1_d1(u, cls):
+    """Case d = 1, with u the unit form the class moves of `cls` reach.
+
+    Rotate u, conjugating by its prefix P, to s1^p1 s2^-q1 ... s1^pr s2^-qr,
+    an s1 run after an s2^-1 run.  Writing h = s2 s1^2 s2 s1^2 in front,
+    rotating the s2 off, and commuting the other s2 through s1^(p1+2) by
+    the braid relation (s2 s1^k s2^-1 = s1^-1 s2^k s1) gives, after one
+    more s1 rotated off,
+      r >= 2:          N = s2^(p1+2) s1 s2^-(q1-1) s1^p2 ... s1^pr s2^-(qr-1) s1,
+      r = 1, q1 >= 2:  N = s2^(p1+2) s1 s2^-(q1-2) s1,
+      r = 1, q1 = 1:   N = s2 s1^(p1+4), where s1^2 is rotated off instead.
+    A cycle form has m = p1 + 2 > 2.  The conjugator is
+    c = s1^-t s2^-1 P^-1, with t = 2 in the last case and 1 otherwise.
     """
-    runs = _cyclic_runs(letters)
-    pos2 = [i for i, (g, e) in enumerate(runs) if g == 2 and e > 0]
-    if len(pos2) != 1:
-        return None
-    runs = runs[pos2[0]:] + runs[:pos2[0]]
-    M = runs[0][1]
-    A, B = [], []
-    for g, e in runs[1:]:
-        if g == 1:
-            if e <= 0 or len(A) != len(B):
-                return None
-            A.append(e)
-        else:
-            if e >= 0 or len(A) != len(B) + 1:
-                return None
-            B.append(-e)
-    if not B or len(A) != len(B) + 1:
-        return None
-    return M, tuple(A), tuple(B)
+    runs = _unit_runs(u, cls, 1)
+    # P is the first k runs: s2^-q, or s1^p s2^-q when u ends in an s1 run
+    k = 1 if runs[0][0] == 2 else 2 if runs[-1][0] == 1 else 0
+    rot = reduce_runs(runs[k:] + runs[:k])
+    p1, q1, qr = rot[0][1], -rot[1][1], -rot[-1][1]
+    t = 1
+    if len(rot) > 2:
+        body = [(2, p1 + 2), (1, 1), (2, 1 - q1)] + rot[2:-1] + [(2, 1 - qr), (1, 1)]
+    elif q1 > 1:
+        body = [(2, p1 + 2), (1, 1), (2, 2 - q1), (1, 1)]
+    else:
+        body, t = [(2, 1), (1, p1 + 4)], 2
+    return _normal_form(body, cls, [(1, -t), (2, -1)] + _inverse_runs(runs[:k]))
 
 
-def _outcome_from_final(mv, mirrored=False):
-    """Read the final cyclic word into a cycle form or a split branch set."""
-    final = BraidWord(mv.letters, mv.state[1])
-    reduced = FreeWord(mv.letters).cyclic_reduce().letters
-    runs = _cyclic_runs(reduced)
-    if len(runs) == 2 and {runs[0][0], runs[1][0]} == {1, 2} \
-            and runs[0][1] > 0 and runs[1][1] > 0:
-        e2 = runs[0][1] if runs[0][0] == 2 else runs[1][1]
-        e1 = runs[0][1] if runs[0][0] == 1 else runs[1][1]
-        # a single letter of the other generator destabilizes away
-        if e2 == 1:
-            return TorusBranchSet(e1, final, mv.moves, mirrored=mirrored)
-        if e1 == 1:
-            return TorusBranchSet(e2, final, mv.moves, mirrored=mirrored)
-        return ConnectedSumBranchSet(e2, e1, final, mv.moves)
-    parsed = _parse_cycle_word(reduced)
-    if parsed is None:
-        raise NormalizationError("final word is not in cycle form: %s" % format_braid(final))
-    M, A, B = parsed
-    return CycleForm(M, A, B, final, mv.moves, mirrored=mirrored)
+def normalize_type1_dm1(u, cls):
+    """Case d = -1, with u the unit form the class moves of `cls` reach.
 
+    Rotate u, conjugating by its prefix P, to its first s1, so that it reads
+    s1 s2^-a1 ... s1 s2^-an.  Writing h^-1 = (s2^-1 s1^-1)^3 in front,
+    cancelling, rotating s2^-1 off, applying the braid relation and rotating
+    s2^-1 off again gives s1^-1 s2^-(a1+2) s1 s2^-a2 ... s1 s2^-(an+2), that
+    is s1^-1 s2^-2 (s1^-1 u) s2^-2 for the rotated u; exchange and mirror
+    turn it into
+      N = s2 s1^(a1+2) s2^-1 s1^a2 ... s2^-1 s1^(an+2),
+    the cycle form with m = 1, a0 > 1 and an > 1, or N = s2 s1^(a1+4) when
+    n = 1.  The conjugator is c = s2^2 P^-1.
 
-def normalize_type1_d1(w, cls):
-    """Case d = 1, with `cls` the class of w: conjugate into sigma2^m s1^{a0} s2^{-b1} ... s1^{an}, m > 2.
-
-    Replays the chain h = s2 s1^2 s2 s1^2, absorbs s1^2 into the leading s1
-    run, then commutes the s2 through it with the braid relation; the first
-    and last s2^- blocks each lose one crossing on the way.
+    For n = 1 the branch set is T(2, a1+4), and the report notes the
+    erratum in the source, which states T(2, a1).
     """
-    mv = _prepare_type1(w, cls, 1)
-    _rotate_to_s1_run(mv)
-    mv.do("expand_h", 1, 0)             # (s2 s1)^3 in front
-    mv.do("braid_rel", 2)               # -> s2 s1^2 s2 s1^2
-    mv.do("rotate", 1)
-    mv.do("reduce")                     # s1^2 s2 s1^m s2^-(q1) ... s2^-(qr - 1)
-    letters = mv.letters
-    if S2I not in letters:
-        # r = 1, q = 1: the whole tail cancelled; rotate to s2 s1^{m+2}
-        mv.do("rotate", 2)
-        return _outcome_from_final(mv)
-    m = 0
-    i = 3
-    while i < len(letters) and letters[i] == S1:
-        m += 1
-        i += 1
-    # commute: s2 s1^m s2^-1 -> s1^-1 s2^m s1, one braid move per crossing
-    for j in range(1, m + 1):
-        mv.do("insert", j + 1, S1I)
-        mv.do("braid_rel", j + 2)
-        mv.do("reduce")
-    mv.do("rotate", 1)
-    out = _outcome_from_final(mv)
-    if out.kind == "cycle" and out.m <= 2:
-        raise NormalizationError("d=1 cycle form must have m > 2")
-    return out
-
-
-def normalize_type1_dm1(w, cls):
-    """Case d = -1, with `cls` the class of w: reduce to s1^-1 s2^-(a1+2) s1 s2^-a2 ... s1 s2^-(an+2),
-    then exchange + mirror into the cycle form with m = 1.
-
-    For n = 1 the chain ends in s1^-1 s2^-(a1+4), which exchange + mirror
-    turn into s2 s1^(a1+4): the branch set is T(2, a1+4), and the report
-    notes the erratum in the source, which states T(2, a1).
-    """
-    mv = _prepare_type1(w, cls, -1)
-    letters = mv.letters
-    start = next(i for i, l in enumerate(letters) if l == S1)
-    if start:
-        mv.do("rotate", start)
-    mv.do("expand_h", -1, 1)            # (s2^-1 s1^-1)^3 in front
-    mv.do("reduce")                     # trailing s1^-1 eats the leading s1
-    mv.do("rotate", 1)
-    mv.do("reduce")
-    mv.do("braid_rel", 0)               # s1^- s2^- s1^- -> s2^- s1^- s2^-
-    mv.do("rotate", 1)
-    mv.do("reduce")
-    mv.do("exchange")
-    mv.do("mirror")
-    out = _outcome_from_final(mv, mirrored=True)
-    if out.kind == "torus":             # n = 1
+    runs = _unit_runs(u, cls, -1)
+    k = 1 if runs[0][0] == 2 else 0     # P is s2^-q or empty
+    before = [(1, -1), (2, -2), (1, -1)] + runs[k:] + runs[:k] + [(2, -2)]
+    out = _normal_form([(3 - g, -e) for g, e in reduce_runs(before)], cls,
+                       [(2, 2)] + _inverse_runs(runs[:k]), mirrored=True)
+    if out.kind == "torus":
         out.notes = ("erratum: the source states the branch set T(2, a1) = "
                      "T(2, %d); the derived word gives T(2, a1+4)" % (out.q - 4),)
-    elif out.kind == "cycle":
-        if out.m != 1 or out.a[0] <= 1 or out.a[-1] <= 1:
-            raise NormalizationError("d=-1 cycle form must have m=1, a0 > 1, an > 1")
     return out
-

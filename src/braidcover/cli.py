@@ -13,7 +13,7 @@ from math import prod
 
 from .braid import (BraidError, BraidWord, NormalizationError, parse_braid,
                     format_braid, classify_baldwin, expand_fulltwist, exponent_sum,
-                    normalize_type1_d1, normalize_type1_dm1, replay_moves,
+                    mirror, normalize_type1_d1, normalize_type1_dm1, replay_moves,
                     sl2_matrix, words_cyclically_equal, MAX_LETTERS)
 from .diagram import (DecoratedCycleGraph, DegenerateDiagram, DiagramError,
                       closure_white_graph, cycle_graph_from_params, cycle_names,
@@ -172,16 +172,26 @@ def _finite_route(report, w, cls, max_cosets):
 
 
 def _cycle_route(report, w, cls):
-    """Family (1), d = +-1: the transcript replays w to the normal form, whose
-    one graph serves the report, cycle form, presentation and certificate."""
+    """Family (1), d = +-1: the class moves replay w to a unit form u, from
+    which the normalizer writes the normal form N and a conjugator c.  One
+    element check proves N conjugate to u: c u c^-1 and N, or exchange(mirror(N))
+    when N is mirrored, have one exponent sum and one SL2(Z) image.  That pair
+    is a complete invariant of B3 elements, since the kernel of B3 -> SL2(Z)
+    is <h^2> and h^2 has exponent sum 12.  N's one graph serves the report,
+    cycle form, presentation and certificate."""
     normalize = normalize_type1_d1 if cls.d == 1 else normalize_type1_dm1
     try:
-        out = normalize(w, cls)
+        u = replay_moves(w, cls.moves)
+        out = normalize(u, cls)
     except NormalizationError as e:
         raise SoundnessError("normalization failed: %s" % e)
     report["normalization"] = out.to_json()
-    if not words_cyclically_equal(replay_moves(w, out.transcript), out.word):
-        raise SoundnessError("transcript does not replay to the claimed word")
+    c = out.conjugator.letters
+    moved = BraidWord(c + u.letters + tuple((g, -s) for g, s in reversed(c)), u.fulltwist)
+    target = mirror(mirror(out.word), exchange=True) if out.mirrored else out.word
+    if (exponent_sum(moved), sl2_matrix(moved)) != (exponent_sum(target), sl2_matrix(target)):
+        raise SoundnessError("the conjugator does not take the unit form to %s"
+                             % ("exchange(mirror(N))" if out.mirrored else "the normal form N"))
     g, _, inv = _diagram_block(report, w, out.word)
     if out.kind == "torus":
         return _torsion_route(report, [out.q], inv)

@@ -1,26 +1,29 @@
 """Helpers only the tests use: graph isomorphism, presentation edits, a
 determinant oracle, the Smith diagonal from determinantal divisors, braid
-rotation, the family (1) normalizer dispatch, a coset table printout, the
-expansion of straight-line lemma rules, the cycle presentation, relator
-map and certificate of a parameter tuple, and the references the faster
-code must reproduce: the cycle graph's vertex relators written out by
-formula, the telescope words by elimination, the letter-tuple twist
-search, the face walk that started each face at the least unvisited
-edge end, the index-2 witness search over a GF(2) basis, the white graph
-drawn one edge per crossing and the Reidemeister-Schreier rewrite one
-letter at a time; and the finite route's presentation of a braid line
-and the benchmark's workload lines."""
+rotation, the family (1) normalizer dispatch and the two sides of its
+conjugator check, a coset table printout, the expansion of straight-line
+lemma rules, the cycle presentation, relator map and certificate of a
+parameter tuple, and the references the faster code must reproduce: the
+cycle graph's vertex relators written out by formula, the telescope words
+by elimination, the family (1) normal forms by chains of moves, the
+letter-tuple twist search, the face walk that started each face at the
+least unvisited edge end, the index-2 witness search over a GF(2) basis,
+the white graph drawn one edge per crossing and the Reidemeister-Schreier
+rewrite one letter at a time; and the finite route's presentation of a
+braid line and the benchmark's workload lines."""
 
 import itertools
 import os
 import sys
+from collections import namedtuple
 from math import gcd
 
 from braidcover import braid
-from braidcover.braid import (BraidError, BraidWord, NormalizationError,
-                              TWIST_NEG, TWIST_POS, classify_baldwin,
-                              expand_fulltwist, normalize_type1_d1,
-                              normalize_type1_dm1, parse_braid)
+from braidcover.braid import (S1, S1I, S2, S2I, BraidError, BraidWord,
+                              NormalizationError, TWIST_NEG, TWIST_POS,
+                              classify_baldwin, expand_fulltwist, exponent_sum,
+                              format_braid, mirror, normalize_type1_d1,
+                              normalize_type1_dm1, parse_braid, replay_moves)
 from braidcover.cli import run_pipeline
 from braidcover.diagram import (CheckerboardGraph, DegenerateDiagram,
                                 DiagramError, closure_white_graph,
@@ -31,7 +34,7 @@ from braidcover.presentation import (AbelianInvariants, GroupPresentation,
                                      cycle_presentation, greene_presentation,
                                      smith_normal_form, tietze_simplify)
 from braidcover.rewrite import (FreeWord, prefix_sums, reduce_letters,
-                                solve_relation, x_sym)
+                                run_lengths, solve_relation, x_sym)
 
 
 def presentation_from_json(data):
@@ -148,16 +151,199 @@ def cyclic_conjugate(w, k):
     return BraidWord(ls[k:] + ls[:k], w.fulltwist)
 
 
-def normalize_type1(w):
-    """Normalize a family (1) braid with the normalizer for its d."""
+def unit_form(w):
+    """(class of w, the unit form its class moves reach)."""
     c = classify_baldwin(w)
+    return c, replay_moves(w, c.moves)
+
+
+def normalize_type1(w):
+    """Normalize a family (1) braid with the normalizer for its d, from the
+    unit form its class moves reach."""
+    c, u = unit_form(w)
     if c.kind != 1:
         raise NormalizationError("not a family (1) braid")
     if c.d == 1:
-        return normalize_type1_d1(w, c)
+        return normalize_type1_d1(u, c)
     if c.d == -1:
-        return normalize_type1_dm1(w, c)
+        return normalize_type1_dm1(u, c)
     raise NormalizationError("d = 0 braids are alternating; nothing to normalize")
+
+
+def conjugated_unit_form(u, out):
+    """c u c^-1 for the outcome's conjugator c, and the word it must equal:
+    N, or exchange(mirror(N)) when N is mirrored."""
+    c = out.conjugator.letters
+    moved = BraidWord(c + u.letters + tuple((g, -s) for g, s in reversed(c)), u.fulltwist)
+    target = mirror(mirror(out.word), exchange=True) if out.mirrored else out.word
+    return moved, target
+
+
+# The family (1) normalizers as chains of moves from the unit form, each
+# move applied to the whole word: the reference the closed forms must
+# reproduce letter for letter, with their conjugator the inverse of the
+# product of the prefixes the chain rotates off.
+
+BRAID_WINDOWS = {
+    (S1, S2, S1): (S2, S1, S2),
+    (S2, S1, S2): (S1, S2, S1),
+    (S1I, S2I, S1I): (S2I, S1I, S2I),
+    (S2I, S1I, S2I): (S1I, S2I, S1I),
+}
+
+ReferenceForm = namedtuple("ReferenceForm", "kind params word moves rotated mirrored")
+
+
+def reference_apply_move(state, move):
+    """A chain move on a (letters, fulltwist) state: the class moves, plus
+    insert, braid_rel, expand_h, mirror and exchange."""
+    letters, d = state
+    kind = move[0]
+    if kind == "insert":
+        _, at, (g, s) = move
+        return letters[:at] + ((g, s), (g, -s)) + letters[at:], d
+    if kind == "braid_rel":
+        at = move[1]
+        window = letters[at:at + 3]
+        if window not in BRAID_WINDOWS:
+            raise NormalizationError("no braid relation window at %d" % at)
+        return letters[:at] + BRAID_WINDOWS[window] + letters[at + 3:], d
+    if kind == "expand_h":
+        _, sign, phase = move
+        if d * sign <= 0:
+            raise NormalizationError("no twist of sign %d to expand" % sign)
+        return (TWIST_POS if sign > 0 else TWIST_NEG)[phase] + letters, d - sign
+    if kind == "mirror":
+        return tuple((g, -s) for g, s in letters), -d
+    if kind == "exchange":
+        return tuple((3 - g, s) for g, s in letters), d
+    return braid.apply_move(state, move)
+
+
+class _Mover:
+    """Applies chain moves, keeping the moves, the product of the prefixes
+    rotated off, and the exponent sum, which every move keeps except
+    mirror, which negates it."""
+
+    def __init__(self, w):
+        self.state = (w.letters, w.fulltwist)
+        self.moves, self.rotated = [], ()
+        self.exp = exponent_sum(w)
+
+    def do(self, *move):
+        if move[0] == "rotate":
+            self.rotated += self.letters[:move[1] % max(1, len(self.letters))]
+        self.state = reference_apply_move(self.state, move)
+        self.moves.append(move)
+        want = -self.exp if move[0] == "mirror" else self.exp
+        self.exp = sum(s for _, s in self.letters) + 6 * self.state[1]
+        if self.exp != want:
+            raise NormalizationError("exponent sum broken by %r" % (move,))
+
+    @property
+    def letters(self):
+        return self.state[0]
+
+
+def _cyclic_runs(letters):
+    """Run-length encoding of the cyclic word (seam runs merged)."""
+    runs = run_lengths(letters)
+    if len(runs) >= 2 and runs[0][0] == runs[-1][0] and runs[0][1] * runs[-1][1] > 0:
+        runs = runs[1:-1] + [(runs[0][0], runs[0][1] + runs[-1][1])]
+    return runs
+
+
+def _parse_cycle_word(letters):
+    """Cyclic word s2^M s1^{A0} s2^{-B1} ... s2^{-Bs} s1^{As} -> (M, A, B),
+    or None."""
+    runs = _cyclic_runs(letters)
+    pos2 = [i for i, (g, e) in enumerate(runs) if g == 2 and e > 0]
+    if len(pos2) != 1:
+        return None
+    runs = runs[pos2[0]:] + runs[:pos2[0]]
+    A, B = [], []
+    for g, e in runs[1:]:
+        if g == 1:
+            if e <= 0 or len(A) != len(B):
+                return None
+            A.append(e)
+        else:
+            if e >= 0 or len(A) != len(B) + 1:
+                return None
+            B.append(-e)
+    if not B or len(A) != len(B) + 1:
+        return None
+    return runs[0][1], tuple(A), tuple(B)
+
+
+def _reference_outcome(mv, mirrored=False):
+    """Read the chain's final cyclic word into (kind, params)."""
+    final = BraidWord(mv.letters, mv.state[1])
+    reduced = FreeWord(mv.letters).cyclic_reduce().letters
+    runs = _cyclic_runs(reduced)
+    if len(runs) == 2 and {runs[0][0], runs[1][0]} == {1, 2} \
+            and runs[0][1] > 0 and runs[1][1] > 0:
+        e2 = runs[0][1] if runs[0][0] == 2 else runs[1][1]
+        e1 = runs[0][1] if runs[0][0] == 1 else runs[1][1]
+        # a single letter of the other generator destabilizes away
+        kind, params = ("torus", (e1,)) if e2 == 1 else ("torus", (e2,)) if e1 == 1 \
+            else ("connected_sum", (e2, e1))
+    else:
+        params = _parse_cycle_word(reduced)
+        if params is None:
+            raise NormalizationError("final word is not in cycle form: %s" % format_braid(final))
+        kind = "cycle"
+    return ReferenceForm(kind, params, final, tuple(mv.moves), BraidWord(mv.rotated), mirrored)
+
+
+def reference_normalize_d1(u):
+    """Case d = 1 from the unit form u: h = s2 s1^2 s2 s1^2 in front, s1^2
+    absorbed into the leading s1 run, then the s2 commuted through it with
+    the braid relation; the first and last s2^- blocks each lose one
+    crossing on the way."""
+    mv = _Mover(u)
+    letters = mv.letters
+    i = next(i for i in range(len(letters)) if letters[i] == S1 and letters[i - 1] == S2I)
+    if i:
+        mv.do("rotate", i)
+    mv.do("expand_h", 1, 0)             # (s2 s1)^3 in front
+    mv.do("braid_rel", 2)               # -> s2 s1^2 s2 s1^2
+    mv.do("rotate", 1)
+    mv.do("reduce")                     # s1^2 s2 s1^m s2^-(q1) ... s2^-(qr - 1)
+    letters = mv.letters
+    if S2I not in letters:
+        # r = 1, q = 1: the whole tail cancelled; rotate to s2 s1^{m+2}
+        mv.do("rotate", 2)
+        return _reference_outcome(mv)
+    m = 0
+    while 3 + m < len(letters) and letters[3 + m] == S1:
+        m += 1
+    # commute: s2 s1^m s2^-1 -> s1^-1 s2^m s1, one braid move per crossing
+    for j in range(1, m + 1):
+        mv.do("insert", j + 1, S1I)
+        mv.do("braid_rel", j + 2)
+        mv.do("reduce")
+    mv.do("rotate", 1)
+    return _reference_outcome(mv)
+
+
+def reference_normalize_dm1(u):
+    """Case d = -1 from the unit form u: reduce to
+    s1^-1 s2^-(a1+2) s1 s2^-a2 ... s1 s2^-(an+2), then exchange + mirror."""
+    mv = _Mover(u)
+    start = mv.letters.index(S1)
+    if start:
+        mv.do("rotate", start)
+    mv.do("expand_h", -1, 1)            # (s2^-1 s1^-1)^3 in front
+    mv.do("reduce")                     # trailing s1^-1 eats the leading s1
+    mv.do("rotate", 1)
+    mv.do("reduce")
+    mv.do("braid_rel", 0)               # s1^- s2^- s1^- -> s2^- s1^- s2^-
+    mv.do("rotate", 1)
+    mv.do("reduce")
+    mv.do("exchange")
+    mv.do("mirror")
+    return _reference_outcome(mv, mirrored=True)
 
 
 def expand_rules(rules, alphabet):

@@ -10,16 +10,17 @@ import itertools
 import random
 import time
 
-from braidcover.braid import (parse_braid, expand_fulltwist, exponent_sum,
-                              replay_moves, words_cyclically_equal)
+from braidcover.braid import (TWIST_NEG, TWIST_POS, BraidWord, classify_baldwin,
+                              expand_fulltwist, parse_braid)
 from braidcover.diagram import (DecoratedCycleGraph, closure_white_graph,
                                 goeritz_matrix)
 from braidcover.presentation import greene_presentation, abelianize
 from braidcover.rewrite import (FreeWord, verify_lemma_x, verify_lemma_y,
                                 verify_lemma_right, verify_product_relation)
 from braidcover.ordercheck import verify_certificate, todd_coxeter
-from support import (certified, cycle_pres, finite_presentation, lemma_rel,
-                     normalize_type1)
+from b3oracle import braids_equal
+from support import (certified, conjugated_unit_form, cycle_pres, finite_presentation,
+                     lemma_rel, normalize_type1, unit_form)
 from test_presentation import parallel_graph
 
 w = FreeWord.gen
@@ -154,25 +155,32 @@ def test_criterion_5_torus_calibration():
 
 
 def test_criterion_6_normalization_soundness():
+    # each grid word, and the same word with its twist spelled out, whose
+    # class moves extract it: the moves replay to a unit form of the class,
+    # the conjugator takes that unit form to N (or to exchange(mirror(N)))
+    # by the oracle's (exponent sum, SL2(Z)) pair, and the postconditions
+    # hold
     total = cycles = 0
     for dsign in (1, -1):
         for text in _family1_words(dsign):
-            win = parse_braid(text)
-            out = normalize_type1(win)
-            # replay checks the exponent bookkeeping move by move
-            replayed = replay_moves(win, out.transcript)
-            assert words_cyclically_equal(replayed, out.word), text
-            flip = -1 if getattr(out, "mirrored", False) else 1
-            assert exponent_sum(out.word) == flip * exponent_sum(win), text
-            if out.kind == "cycle":
-                cycles += 1
-                if dsign == 1:
-                    assert out.m > 2, text
-                else:
-                    assert out.m == 1 and out.a[0] > 1 and out.a[-1] > 1, text
-            total += 1
-    _report(6, "all %d transcripts replay, exponent sums preserved "
-               "(negated across the mirror move), cycle-form postconditions "
+            plain = parse_braid(text)
+            spelled = BraidWord((TWIST_POS if dsign == 1 else TWIST_NEG)[0] + plain.letters)
+            for win in (plain, spelled):
+                cls, u = unit_form(win)
+                assert cls == classify_baldwin(plain), text
+                reached = classify_baldwin(u)
+                assert reached == cls and not reached.moves, text
+                out = normalize_type1(win)
+                assert braids_equal(*conjugated_unit_form(u, out)), text
+                if out.kind == "cycle":
+                    cycles += 1
+                    if dsign == 1:
+                        assert out.m > 2, text
+                    else:
+                        assert out.m == 1 and out.a[0] > 1 and out.a[-1] > 1, text
+                total += 1
+    _report(6, "all %d class moves replay to a unit form of their class, every "
+               "conjugator passes the element check, cycle-form postconditions "
                "hold on %d instances" % (total, cycles))
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from braidcover import braid
 from braidcover.braid import (BaldwinClass, BraidError, BraidWord,
@@ -17,8 +17,9 @@ from braidcover.presentation import AbelianInvariants, GroupPresentation
 from braidcover.rewrite import FreeWord, least_rotation
 
 from b3oracle import braids_equal, conjugacy_invariants, evaluate
-from support import (cyclic_conjugate, drop_later_rotations, normalize_type1,
-                     reference_twist_search, workload_lines)
+from support import (conjugated_unit_form, cyclic_conjugate, drop_later_rotations,
+                     normalize_type1, reference_normalize_d1, reference_normalize_dm1,
+                     reference_twist_search, unit_form, workload_lines)
 
 LETTER = st.sampled_from((S1, S1I, S2, S2I))
 
@@ -188,16 +189,33 @@ def test_classify_zero_exponents_allowed():
     assert c.kind == 1 and sorted(c.a) == [0, 1]
 
 
+def _outcome_params(out):
+    if out.kind == "cycle":
+        return out.m, out.a, out.b
+    return (out.q,) if out.kind == "torus" else (out.q1, out.q2)
+
+
+def _check_against_reference(u, out):
+    """The closed form is the reference chain's word letter for letter, with
+    its outcome, and its conjugator is the inverse of the product of the
+    prefixes the chain rotates off, and takes u to N (or its exchanged
+    mirror) by the independent oracle."""
+    ref = (reference_normalize_d1 if u.fulltwist == 1 else reference_normalize_dm1)(u)
+    assert out.word == ref.word and out.mirrored == ref.mirrored
+    assert (out.kind, _outcome_params(out)) == (ref.kind, ref.params)
+    assert out.conjugator.letters == tuple((g, -s) for g, s in reversed(ref.rotated.letters))
+    assert braids_equal(*conjugated_unit_form(u, out))
+
+
 def _check_normalization(text, normalizer):
     w = parse_braid(text)
-    out = normalizer(w, classify_baldwin(w))
-    replayed = replay_moves(w, out.transcript)
-    assert words_cyclically_equal(replayed, out.word)
+    cls, u = unit_form(w)
+    out = normalizer(u, cls)
+    assert out.transcript == cls.moves
+    _check_against_reference(u, out)
     # mirroring flips the conjugacy class; compare oracle invariants on the
     # appropriate side
-    probe = mirror(w, exchange=True) if getattr(out, "mirrored", False) else w
-    if getattr(out, "mirrored", False):
-        probe = mirror(probe)
+    probe = mirror(mirror(w, exchange=True)) if out.mirrored else w
     assert conjugacy_invariants(probe) == conjugacy_invariants(out.word)
     return out
 
@@ -265,12 +283,12 @@ def test_normalizer_refuses_a_class_its_moves_do_not_reach():
     w = parse_braid("s2 s1 s2 s1 s2 s1 s1 s2^-2 s1 s2^-2")
     cls = classify_baldwin(w)
     assert cls.to_json() == {"type": 1, "d": 1, "a": [2, 2]}
-    assert normalize_type1_d1(w, cls).kind == "cycle"
+    assert normalize_type1_d1(replay_moves(w, cls.moves), cls).kind == "cycle"
     last = max(i for i, move in enumerate(cls.moves) if move[0] == "extract_h")
     for bad in (cls._replace(moves=cls.moves[:last] + cls.moves[last + 1:]),
                 cls._replace(a=(2, 3))):
         with pytest.raises(NormalizationError, match="the class moves reach"):
-            normalize_type1_d1(w, bad)
+            normalize_type1_d1(replay_moves(w, bad.moves), bad)
     w = parse_braid("h^-1 s1 s2^-1 s1 s2^-2")
     with pytest.raises(NormalizationError, match="the class moves reach"):
         normalize_type1_dm1(w, classify_baldwin(w)._replace(a=(1, 1)))
@@ -294,11 +312,46 @@ def test_the_normalizer_classifies_a_word_with_no_twist_left(monkeypatch):
         cls = classify_baldwin(w)
         if cls.kind != 1 or cls.d == 0:
             continue
+        u = replay_moves(w, cls.moves)
         del sizes[:]
-        (normalize_type1_d1 if cls.d == 1 else normalize_type1_dm1)(w, cls)
+        (normalize_type1_d1 if cls.d == 1 else normalize_type1_dm1)(u, cls)
         assert sizes == [1], line
         lines += 1
     assert lines > 800
+
+
+def test_closed_forms_match_the_reference_chain_on_workload_lines():
+    # every family (1) line with d = +-1 of the four workloads at seeds 1-2
+    lines = 0
+    for line in workload_lines():
+        w = parse_braid(line)
+        cls = classify_baldwin(w)
+        if cls.kind == 1 and cls.d:
+            _check_against_reference(replay_moves(w, cls.moves), normalize_type1(w))
+            lines += 1
+    assert lines == 809
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from((1, -1)),
+       st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8),
+       st.integers(min_value=0), st.lists(st.booleans(), max_size=3))
+def test_closed_forms_match_the_reference_chain(d, a, turn, spell):
+    # a random member, rotated, with up to three twists spelled out in front
+    # in either spelling where free reduction leaves them whole; its normal
+    # form is the chain's, letter for letter
+    if not any(a):
+        a[0] = 1
+    unit = BraidWord.from_runs([r for ai in a for r in ((1, 1), (2, -ai))])
+    k = turn % len(unit.letters)
+    letters = sum(((TWIST_POS if d == 1 else TWIST_NEG)[s] for s in spell), ()) \
+        + unit.letters[k:] + unit.letters[:k]
+    w = BraidWord(letters, d - d * len(spell))
+    assume(w.letters == letters)
+    cls, u = unit_form(w)
+    assert (cls.kind, cls.d) == (1, d)
+    out = (normalize_type1_d1 if d == 1 else normalize_type1_dm1)(u, cls)
+    _check_against_reference(u, out)
 
 
 def _type1_words(dsign, max_n=3, max_a=3):
@@ -325,11 +378,19 @@ def test_normalizer_postconditions_on_grid():
 
 
 def test_exponent_sum_preserved_through_transcripts():
-    # replay_moves checks the bookkeeping step by step and raises on a break
-    for text in ["h s1 s2^-3 s1 s2^-1", "h^-1 s1 s2^-2 s1 s2^-2"]:
+    # replay_moves checks the bookkeeping step by step and raises on a break:
+    # the class moves keep the exponent sum, a rotation by a wrong amount
+    # leaves no twist at the front to extract, and no other move is accepted
+    for text in ["s2 s1 s2 s1 s2 s1 s1 s2^-3 s1 s2^-1",
+                 "s1 s2^-2 s1^-1 s2^-1 s1^-1 s2^-1 s1^-1 s2^-1 s1 s2^-2"]:
         w = parse_braid(text)
         out = normalize_type1(w)
-        replay_moves(w, out.transcript)
+        assert out.transcript and exponent_sum(replay_moves(w, out.transcript)) == exponent_sum(w)
+    with pytest.raises(NormalizationError, match="no twist block"):
+        replay_moves(w, (("rotate", 1), ("extract_h", -1)))
+    for kind in ("insert", "braid_rel", "expand_h", "mirror", "exchange"):
+        with pytest.raises(NormalizationError, match="unknown move"):
+            braid.apply_move((w.letters, w.fulltwist), (kind, 0, 0))
 
 
 def test_oracle_sanity():
@@ -401,8 +462,7 @@ def test_normalizers_preserve_determinant_wide():
             text += " s1 s2^-%d" % ai if ai else " s1"
         w = parse_braid(text)
         out = normalize_type1(w)
-        replayed = replay_moves(w, out.transcript)
-        assert words_cyclically_equal(replayed, out.word)
+        assert braids_equal(*conjugated_unit_form(unit_form(w)[1], out)), text
         assert burau_determinant(w) == burau_determinant(out.word), text
 
 
@@ -422,7 +482,9 @@ def test_classify_after_full_expansion():
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.lists(LETTER, max_size=40))
 def test_twist_search_matches_reference_on_random_words(letters):
-    assert twist_search(letters) == drop_later_rotations(reference_twist_search(letters))
+    # twist_search takes freely reduced letters; the reference reduces them
+    reduced = BraidWord(tuple(letters)).letters
+    assert twist_search(reduced) == drop_later_rotations(reference_twist_search(letters))
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -434,7 +496,8 @@ def test_twist_search_matches_reference_on_twist_heavy_words(parts, turn):
     letters = [l for block, stray in parts for l in block + tuple(stray)]
     k = turn % (len(letters) + 1)
     letters = letters[k:] + letters[:k]
-    assert twist_search(letters) == drop_later_rotations(reference_twist_search(letters))
+    reduced = BraidWord(tuple(letters)).letters
+    assert twist_search(reduced) == drop_later_rotations(reference_twist_search(letters))
 
 
 def test_twist_search_matches_reference_on_a_long_word():

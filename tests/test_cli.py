@@ -265,8 +265,10 @@ COUNTED = tuple(FAMILY1) + ("infinite_witness", "todd_coxeter", "mirror",
 # the class moves reach, a unit form whose search lists one state
 COUNT_TABLE = [
     ("h s1 s2^-2 s1 s2^-2", "NonLO_Certified", FAMILY1),
+    # the conjugator check compares c u c^-1 with exchange(mirror(N))
     ("h^-1 s1 s2^-1 s1 s2^-2", "NonLO_Certified",
-     dict(FAMILY1, greene_presentation=4, closure_white_graph=3, cycle_graph_from_params=2)),
+     dict(FAMILY1, greene_presentation=4, closure_white_graph=3, cycle_graph_from_params=2,
+          mirror=2)),
     ("h s2^4", "NonLO_FiniteGroup", dict(FINITE, smith_normal_form=1 + 3 + 1)),
     ("h s1^-2 s2^-1", "NonLO_FiniteGroup", dict(FINITE, smith_normal_form=1 + 1 + 1)),
     # the infinite dihedral group: proved infinite, never enumerated
@@ -639,6 +641,53 @@ def test_cycle_route_class_must_reach_its_unit_form(monkeypatch):
         assert code == 3
         assert report["soundness_error"].startswith(
             "normalization failed: the class moves reach"), report["soundness_error"]
+
+
+def test_cycle_route_checks_the_conjugator(monkeypatch):
+    # one letter of the conjugator changed, or the mirror flag dropped from a
+    # d = -1 outcome: the element check fails the line with exit 3
+    import braidcover.cli as cli
+
+    def tampered(normalize, change):
+        def wrapped(u, cls):
+            out = normalize(u, cls)
+            change(out)
+            return out
+        return wrapped
+
+    def flip_first_letter(out):
+        (g, s), *rest = out.conjugator.letters
+        out.conjugator = BraidWord(((3 - g, s),) + tuple(rest))
+
+    def drop_mirror(out):
+        out.mirrored = False
+
+    cases = [("h s1 s2^-2 s1 s2^-2", "normalize_type1_d1", flip_first_letter,
+              "the conjugator does not take the unit form to the normal form N"),
+             ("h^-1 s1 s2^-1 s1 s2^-2", "normalize_type1_dm1", flip_first_letter,
+              "the conjugator does not take the unit form to exchange(mirror(N))"),
+             ("h^-1 s1 s2^-1 s1 s2^-2", "normalize_type1_dm1", drop_mirror,
+              "the conjugator does not take the unit form to the normal form N")]
+    for line, name, change, error in cases:
+        assert run_pipeline(line, canonical=True)[1] == 0
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, tampered(getattr(cli, name), change))
+            report, code = run_pipeline(line, canonical=True)
+        assert (code, report["soundness_error"]) == (3, error), line
+
+
+def test_long_s1_run_normalizes_fast():
+    # the normal form is written from the unit form's runs and checked by one
+    # element comparison, so a long s1 run costs no move per letter; at the
+    # move chain this input took about 9 s
+    best = inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        report, code = run_pipeline("h s1^4000 s2^-1 s1^2 s2^-3", canonical=True)
+        best = min(best, time.perf_counter() - t0)
+    assert (code, report["verdict"]["verdict"]) == (0, "NonLO_Certified")
+    assert report["normalization"]["word"] == "s2^4002 s1^3 s2^-2 s1"
+    assert best < 2.0, best
 
 
 def test_finite_route_lines_present_at_most_7_generators():
